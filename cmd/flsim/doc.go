@@ -3,8 +3,8 @@
 // the whole threat matrix. Both modes run on the asynchronous round engine
 // of internal/fl: clients train concurrently on a worker pool, the server
 // samples a cohort per round, and a staleness-aware aggregator merges
-// updates as they arrive (pass -deterministic to barrier rounds and
-// reproduce the synchronous FedAvg result bit-identically).
+// updates as they arrive (pass -deterministic to barrier rounds and get the
+// synchronous FedAvg result of Fig. 1, bit-reproducible for a given seed).
 //
 // Single run:
 //

@@ -368,8 +368,8 @@ func runSingle(o options) error {
 		}
 	}
 	if len(compromised.Outcomes) == 0 {
-		// Possible when the async engine dropped the compromised client's
-		// every update (the sync server would have errored instead).
+		// Possible when the engine dropped the compromised client's every
+		// update.
 		fmt.Println("\nno probe completed: the compromised client never finished a round")
 		return nil
 	}

@@ -23,14 +23,15 @@
 //
 // Load-generator mode (-loadgen) skips HTTP and drives the service
 // in-process with mixed traffic — benign validation samples plus FGSM/PGD
-// probes crafted against the same weights (-adv-frac, -attack) — at an
-// open-loop arrival rate (-rate) for -n requests, then prints the serving
-// report: throughput, exact latency quantiles, per-route shed counts,
-// benign accuracy and robust accuracy under attack traffic ("n/a" when a
-// stream served nothing). -phases replaces the fixed rate with a burst
-// trace ("rate:dur:advfrac,..." steps) reported per phase and per route —
-// the harness behind the CI autoscale smoke cell and the README's
-// static-vs-autoscaled table. -benchjson dumps the same numbers
+// probes crafted against the same weights (-adv-frac, -attack) — along an
+// open-loop phase trace, then prints the serving report: the per-phase,
+// per-route shed table, throughput, exact latency quantiles, benign
+// accuracy and robust accuracy under attack traffic ("n/a" when a stream
+// served nothing). There is one load mode: -phases gives the trace
+// ("rate:dur:advfrac,..." steps — the harness behind the CI autoscale
+// smoke cell and the README's static-vs-autoscaled table), and without it
+// the trace is the single phase that launches -n requests at -rate with
+// the pool's adversarial share. -benchjson dumps the same numbers
 // machine-readably for the CI BENCH_*.json artifacts.
 //
 // Weights warm-start from an internal/fl checkpoint (-checkpoint) written

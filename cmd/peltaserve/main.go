@@ -118,7 +118,7 @@ func run() error {
 	flag.Float64Var(&o.eps, "eps", 0.1, "loadgen: attack ε (l∞)")
 	flag.IntVar(&o.steps, "steps", 10, "loadgen: iterative attack steps")
 	flag.DurationVar(&o.deadline, "deadline", 0, "loadgen: per-request deadline (0 = none)")
-	flag.StringVar(&o.phases, "phases", "", "loadgen: phased trace \"rate:dur:advfrac,...\" (e.g. \"200:2s:0.1,800:1s:0.5,200:2s:0.1\"); overrides -rate/-n")
+	flag.StringVar(&o.phases, "phases", "", "loadgen: phased trace \"rate:dur:advfrac,...\" (e.g. \"200:2s:0.1,800:1s:0.5,200:2s:0.1\"); default is the one phase -rate:(-n/-rate):(adversarial share of the pool)")
 	flag.StringVar(&o.benchJSON, "benchjson", "", "write machine-readable serving timings to this JSON file (e.g. BENCH_peltaserve.json)")
 	flag.Float64Var(&o.traceSample, "trace-sample", 0, "trace this fraction of requests end to end (0 = tracing off; anomalies are always traced once > 0); spans stream on GET /trace")
 	flag.StringVar(&o.traceJSON, "trace-json", "", "loadgen: write the retained span records as NDJSON to this file (requires -trace-sample > 0)")
@@ -288,7 +288,8 @@ func accJSON(v float64, ok bool) any {
 
 // runLoadgen drives the service in-process with mixed benign + adversarial
 // traffic and prints the serving report. With -phases the trace is phased
-// (rate × duration × adv-frac steps); otherwise it is one fixed-rate run.
+// (rate × duration × adv-frac steps); otherwise it is the single phase that
+// launches -n requests at -rate with the built pool's adversarial share.
 func runLoadgen(o options, svc *serve.Service, base models.Model, val *dataset.Dataset) error {
 	items, err := buildTraffic(o, base, val)
 	if err != nil {
@@ -304,8 +305,19 @@ func runLoadgen(o options, svc *serve.Service, base models.Model, val *dataset.D
 	if err != nil {
 		return err
 	}
+	if len(phases) == 0 {
+		if o.rate <= 0 || o.n <= 0 {
+			return fmt.Errorf("loadgen needs -rate > 0 and -n > 0, or -phases")
+		}
+		phases = []serve.LoadPhase{{
+			Rate:     o.rate,
+			Duration: time.Duration(float64(o.n) / o.rate * float64(time.Second)),
+			AdvFrac:  float64(nAdv) / float64(len(items)),
+		}}
+		o.phases = phases[0].String()
+	}
 	start := time.Now()
-	lcfg := serve.LoadConfig{Rate: o.rate, Requests: o.n, Deadline: o.deadline, Seed: o.seed}
+	lcfg := serve.LoadConfig{Deadline: o.deadline, Seed: o.seed}
 
 	// In autoscale mode the pool is sized by -max-replicas, not -replicas;
 	// the record must carry the pool that actually served.
@@ -329,52 +341,35 @@ func runLoadgen(o options, svc *serve.Service, base models.Model, val *dataset.D
 		rec["route_weights"] = o.routeWeights
 	}
 
-	var total *serve.LoadReport
-	if len(phases) > 0 {
-		fmt.Fprintf(os.Stderr, "[peltaserve] loadgen: %d-item pool (%d adversarial via %s), %d phases: %s\n",
-			len(items), nAdv, o.attackN, len(phases), o.phases)
-		prep, err := serve.RunLoadPhases(svc, items, phases, lcfg)
-		if err != nil {
-			return err
-		}
-		sum := eval.SummarizeServePhases(prep)
-		fmt.Print(sum.Render())
-		total = &prep.Total
-		rec["mode"] = "loadgen-phased"
-		var phaseRows []map[string]any
-		for i, p := range prep.Phases {
-			phaseRows = append(phaseRows, map[string]any{
-				"rate":        p.Phase.Rate,
-				"duration_s":  p.Phase.Duration.Seconds(),
-				"adv_frac":    p.Phase.AdvFrac,
-				"sent":        p.Sent,
-				"served":      p.Served,
-				"shed":        p.Shed,
-				"benign_shed": p.BenignShed,
-				"adv_shed":    p.AdvShed,
-				"throughput":  p.Throughput,
-				"p95_ms":      accJSON(sum.PhaseLatency[i].P95, p.Served > 0),
-			})
-		}
-		rec["phases"] = phaseRows
-		rec["p50_ms"] = accJSON(sum.Total.P50, total.Served > 0)
-		rec["p95_ms"] = accJSON(sum.Total.P95, total.Served > 0)
-		rec["p99_ms"] = accJSON(sum.Total.P99, total.Served > 0)
-	} else {
-		fmt.Fprintf(os.Stderr, "[peltaserve] loadgen: %d-item pool (%d adversarial via %s), %d requests at %.0f req/s\n",
-			len(items), nAdv, o.attackN, o.n, o.rate)
-		rep, err := serve.RunLoad(svc, items, lcfg)
-		if err != nil {
-			return err
-		}
-		sum := eval.SummarizeServeLoad(rep)
-		fmt.Print(sum.Render())
-		total = rep
-		rec["mode"] = "loadgen"
-		rec["p50_ms"] = accJSON(sum.Latency.P50, rep.Served > 0)
-		rec["p95_ms"] = accJSON(sum.Latency.P95, rep.Served > 0)
-		rec["p99_ms"] = accJSON(sum.Latency.P99, rep.Served > 0)
+	fmt.Fprintf(os.Stderr, "[peltaserve] loadgen: %d-item pool (%d adversarial via %s), %d phases: %s\n",
+		len(items), nAdv, o.attackN, len(phases), o.phases)
+	prep, err := serve.RunLoadPhases(svc, items, phases, lcfg)
+	if err != nil {
+		return err
 	}
+	sum := eval.SummarizeServePhases(prep)
+	fmt.Print(sum.Render())
+	total := &prep.Total
+	rec["mode"] = "loadgen-phased"
+	var phaseRows []map[string]any
+	for i, p := range prep.Phases {
+		phaseRows = append(phaseRows, map[string]any{
+			"rate":        p.Phase.Rate,
+			"duration_s":  p.Phase.Duration.Seconds(),
+			"adv_frac":    p.Phase.AdvFrac,
+			"sent":        p.Sent,
+			"served":      p.Served,
+			"shed":        p.Shed,
+			"benign_shed": p.BenignShed,
+			"adv_shed":    p.AdvShed,
+			"throughput":  p.Throughput,
+			"p95_ms":      accJSON(sum.PhaseLatency[i].P95, p.Served > 0),
+		})
+	}
+	rec["phases"] = phaseRows
+	rec["p50_ms"] = accJSON(sum.Total.P50, total.Served > 0)
+	rec["p95_ms"] = accJSON(sum.Total.P95, total.Served > 0)
+	rec["p99_ms"] = accJSON(sum.Total.P99, total.Served > 0)
 
 	// With tracing on, the retained span records gate and describe the run:
 	// any structural violation (negative stage duration, stage sum drifting

@@ -6,8 +6,9 @@
 //   - internal/tee      — the TrustZone-style enclave simulation
 //   - internal/models   — ViT / ResNet-v2 / BiT defenders
 //   - internal/attack   — FGSM, PGD, MIM, APGD, C&W, SAGA, BPDA upsampling
-//   - internal/fl       — sync FedAvg server plus the asynchronous sharded
-//     round engine (client sampling, staleness-aware buffered aggregation),
+//   - internal/fl       — the asynchronous sharded round engine (client
+//     sampling, staleness-aware buffered aggregation; its deterministic
+//     mode is the paper's synchronous FedAvg loop),
 //     robust aggregation defenses (Krum/Multi-Krum, trimmed mean, median,
 //     norm clipping), honest/compromised/poisoning/Byzantine clients, and
 //     the scenario-sweep runner

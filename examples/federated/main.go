@@ -40,10 +40,10 @@ func run() error {
 	for _, shieldOn := range []bool{false, true} {
 		fmt.Printf("=== federation with shield=%v ===\n", shieldOn)
 		compromised := fl.NewCompromisedClient("mallory", newModel(100), shards[0], tc, probe, 12, shieldOn)
-		// The asynchronous round engine: clients train concurrently on a
-		// worker pool and the deterministic mode barriers each round, so
-		// this run reproduces the synchronous FedAvg result bit-identically
-		// while still exercising the async plumbing.
+		// The round engine: clients train concurrently on a worker pool
+		// and the deterministic mode barriers each round, so this run is
+		// the synchronous FedAvg loop of Fig. 1, bit-reproducible for a
+		// given seed.
 		server := &fl.AsyncServer{
 			Global: newModel(1),
 			Conns: []fl.Conn{

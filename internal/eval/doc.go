@@ -9,10 +9,9 @@
 // condenses them into per-attack shield deltas, IID-vs-skewed accuracy and
 // engine throughput. Quantiles is the exact sorted-slice p50/p95/p99 shared
 // by the sweep summaries and (as the validation reference for the P²
-// streaming sketches) the internal/serve metrics; SummarizeServeLoad
-// renders a serving load-generator run the same way the sweep summaries
-// render a federation matrix, and SummarizeServePhases renders a phased
-// burst trace as a per-phase, per-route shed/latency table (zero-served
+// streaming sketches) the internal/serve metrics; SummarizeServePhases
+// renders a serving load-generator run — one fixed-rate phase or a phased
+// burst trace — as a per-phase, per-route shed/latency table (zero-served
 // accuracies read "n/a", never a fake 0%).
 //
 // The detection-quality harness scores the serving layer's stateful probe

@@ -8,26 +8,6 @@ import (
 	"pelta/internal/serve"
 )
 
-// SummarizeServeLoad condenses a load-generator run into the serving
-// questions the ROADMAP asks: what rate did the shielded service sustain,
-// with what tail latency, how much was shed past the admission limit, and
-// did the shield keep blunting the adversarial share of the traffic.
-type ServeLoadSummary struct {
-	Report *serve.LoadReport
-	// Latency is the exact p50/p95/p99 over every served request, from
-	// the same samples the serve metrics sketch approximates.
-	Latency Q
-}
-
-// SummarizeServeLoad computes the exact latency quantiles of a report.
-func SummarizeServeLoad(rep *serve.LoadReport) *ServeLoadSummary {
-	s := &ServeLoadSummary{Report: rep}
-	if len(rep.LatenciesMs) > 0 {
-		s.Latency = Quantiles(rep.LatenciesMs)
-	}
-	return s
-}
-
 // pct renders a (value, ok) accuracy as a percentage, or "n/a" when
 // nothing was served — a fully shed stream must not read as 0% accuracy.
 func pct(v float64, ok bool) string {
@@ -37,8 +17,7 @@ func pct(v float64, ok bool) string {
 	return fmt.Sprintf("%.1f%%", 100*v)
 }
 
-// accuracyFooter writes the benign/adversarial per-stream lines shared by
-// the plain and phased renderers.
+// accuracyFooter writes the benign/adversarial per-stream lines.
 func accuracyFooter(sb *strings.Builder, rep *serve.LoadReport) {
 	if rep.BenignSent > 0 {
 		fmt.Fprintf(sb, "benign traffic:      %4d served, %4d shed, accuracy %s\n",
@@ -59,22 +38,12 @@ func ms(v float64, served int) string {
 	return fmt.Sprintf("%.1f", v)
 }
 
-// Render prints the summary in the repo's plain-text report idiom.
-func (s *ServeLoadSummary) Render() string {
-	rep := s.Report
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "load: %d requests offered at %.0f req/s — %d served (%.1f req/s), %d shed, %d failed in %.2fs\n",
-		rep.Sent, rep.OfferedRate, rep.Served, rep.Throughput, rep.Shed, rep.Failed, rep.Seconds)
-	if rep.Served > 0 {
-		fmt.Fprintf(&sb, "latency: %s ms, mean batch %.1f\n", s.Latency, rep.MeanBatch)
-	}
-	accuracyFooter(&sb, rep)
-	return sb.String()
-}
-
-// ServePhasesSummary condenses a phased load run: the per-phase, per-route
-// shed/latency table answering the control-plane questions — did the burst
-// phase shed, who paid for it (benign vs adv), and what did the tail
+// ServePhasesSummary condenses a load-generator run into the serving
+// questions the ROADMAP asks — what rate did the shielded service sustain,
+// how much was shed past the admission limit, did the shield keep blunting
+// the adversarial share of the traffic — as a per-phase, per-route
+// shed/latency table that also answers the control-plane ones: did the
+// burst phase shed, who paid for it (benign vs adv), and what did the tail
 // latency do while the autoscaler reacted.
 type ServePhasesSummary struct {
 	Report *serve.PhasedReport
@@ -98,7 +67,8 @@ func SummarizeServePhases(rep *serve.PhasedReport) *ServePhasesSummary {
 	return s
 }
 
-// Render prints the per-phase table plus the aggregate accuracy lines.
+// Render prints the per-phase table plus the aggregate latency and accuracy
+// lines.
 func (s *ServePhasesSummary) Render() string {
 	rep := s.Report
 	var sb strings.Builder
@@ -115,6 +85,9 @@ func (s *ServePhasesSummary) Render() string {
 	fmt.Fprintf(&sb, "%5s | %7.0f | %6s | %4s | %6d | %6d | %11d | %8d | %7s\n",
 		"total", rep.Total.OfferedRate, "", "", rep.Total.Sent, rep.Total.Served,
 		rep.Total.BenignShed, rep.Total.AdvShed, ms(s.Total.P95, rep.Total.Served))
+	if rep.Total.Served > 0 {
+		fmt.Fprintf(&sb, "mean batch %.1f, latency %s ms\n", rep.Total.MeanBatch, s.Total)
+	}
 	accuracyFooter(&sb, &rep.Total)
 	return sb.String()
 }

@@ -12,13 +12,20 @@ import (
 // rendering layer: a stream that was entirely shed must read "n/a", not a
 // fake "0.0%".
 func TestServeLoadSummaryZeroServedRendersNA(t *testing.T) {
-	rep := &serve.LoadReport{
+	rep := serve.LoadReport{
 		Sent: 10, Shed: 10,
 		BenignSent: 6, BenignShed: 6,
 		AdvSent: 4, AdvShed: 4,
 		OfferedRate: 100, Seconds: 1,
 	}
-	out := SummarizeServeLoad(rep).Render()
+	render := func() string {
+		phase := serve.LoadPhase{Rate: 100, Duration: 100 * time.Millisecond, AdvFrac: 0.4}
+		return SummarizeServePhases(&serve.PhasedReport{
+			Phases: []serve.PhaseReport{{Phase: phase, LoadReport: rep}},
+			Total:  rep,
+		}).Render()
+	}
+	out := render()
 	if !strings.Contains(out, "accuracy n/a") {
 		t.Fatalf("zero-served render lacks n/a:\n%s", out)
 	}
@@ -28,7 +35,7 @@ func TestServeLoadSummaryZeroServedRendersNA(t *testing.T) {
 
 	// A genuine 0% stays a percentage.
 	rep.BenignServed, rep.BenignCorrect, rep.BenignShed = 6, 0, 0
-	out = SummarizeServeLoad(rep).Render()
+	out = render()
 	if !strings.Contains(out, "accuracy 0.0%") {
 		t.Fatalf("genuine 0%% lost:\n%s", out)
 	}

@@ -134,12 +134,14 @@ func runGoldenTrace(t *testing.T) ([]obs.SpanRecord, *eval.TraceSummary) {
 		{Rate: 2e9, Duration: time.Nanosecond},
 		{Rate: 2e9, Duration: time.Nanosecond},
 	}
-	offered := func() uint64 {
-		var n uint64
-		for _, r := range s.Metrics().Snapshot().Routes {
-			n += r.Offered
+	// gauge sums one metric family of the service registry over its labels.
+	gauge := func(name string) (v float64) {
+		for _, m := range s.Registry().Gather() {
+			if m.Name == name {
+				v += m.Value
+			}
 		}
-		return n
+		return v
 	}
 
 	done := make(chan error, 1)
@@ -148,13 +150,21 @@ func runGoldenTrace(t *testing.T) ([]obs.SpanRecord, *eval.TraceSummary) {
 		done <- err
 	}()
 
+	// The offered counter is bumped on entry to Submit, before the enqueue
+	// stamp, so on its own it does not say a shot has left admission. The
+	// queue-depth gauge is read under the service lock, which admission
+	// holds from that bump to the queue send: offered == n followed by a
+	// depth read means all n shots carry their enqueue stamp.
+	settled := func(offered, depth float64) bool {
+		return gauge("pelta_requests_offered_total") == offered && gauge("pelta_queue_depth") == depth
+	}
 	// Phase 1's shots submit on the frozen clock; the worker blocks on the
-	// gate with the first of them.
-	waitCond(t, func() bool { return rep.serving.Load() == 1 && offered() == 2 })
+	// gate with the first of them and the batcher holds the second.
+	waitCond(t, func() bool { return rep.serving.Load() == 1 && settled(2, 0) })
 	// Fire the phase-2/3 pacing timers; all remaining shots enqueue at
 	// exactly start+1µs while the worker is still gated.
 	gc.Advance(time.Microsecond)
-	waitCond(t, func() bool { return offered() == 6 })
+	waitCond(t, func() bool { return settled(6, 4) })
 	// Release the six inferences, advancing 1ms inside each infer stage.
 	for i := 0; i < 6; i++ {
 		gc.Advance(time.Millisecond)

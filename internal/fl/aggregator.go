@@ -2,7 +2,6 @@ package fl
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -10,6 +9,7 @@ import (
 const (
 	RejectDuplicate = "duplicate"
 	RejectStale     = "stale"
+	RejectNonFinite = "non-finite"
 )
 
 // pendingUpdate is one buffered client update awaiting aggregation.
@@ -25,18 +25,21 @@ type AggregatorStats struct {
 	// the subset that arrived late (staleness ≥ 1) and was discounted.
 	Merged      int
 	StaleMerged int
-	// Duplicates and Rejected count updates refused on Offer (retransmits
-	// and beyond-horizon stragglers respectively).
+	// Duplicates, Rejected and NonFinite count updates refused on Offer
+	// (retransmits, beyond-horizon stragglers and updates carrying a NaN
+	// or ±Inf coordinate respectively).
 	Duplicates int
 	Rejected   int
+	NonFinite  int
 }
 
 // BufferedAggregator merges client updates as they arrive instead of
 // barriering a round on the slowest client. Updates are buffered with the
 // model version they were trained on; once Quorum updates are pending the
 // round closes and Drain folds them into one staleness-discounted FedAvg.
-// Retransmitted updates (same client, same trained-on version) and updates
-// older than MaxStaleness versions are refused at Offer time.
+// Retransmitted updates (same client, same trained-on version), updates
+// older than MaxStaleness versions and updates with a non-finite coordinate
+// (one NaN would poison every mean it enters) are refused at Offer time.
 //
 // The aggregator is not safe for concurrent use; the AsyncServer event loop
 // is its only caller.
@@ -50,8 +53,7 @@ type BufferedAggregator struct {
 	// ago contributes with its sample count discounted by (1+s)^-Lambda.
 	// Lambda = 0 treats stale updates at full weight.
 	Lambda float64
-	// Rule is the aggregation defense applied at Drain (nil = the plain
-	// FedAvg/StalenessFedAvg pair, bit-identical to the pre-defense engine).
+	// Rule is the aggregation defense applied at Drain (nil = FedAvgAgg).
 	Rule Aggregator
 
 	pending  []pendingUpdate
@@ -85,6 +87,10 @@ func (a *BufferedAggregator) Offer(client int, resp UpdateResponse, version, cur
 		a.stats.Rejected++
 		return false, RejectStale
 	}
+	if nonFinite(resp.Weights) {
+		a.stats.NonFinite++
+		return false, RejectNonFinite
+	}
 	a.lastSeen[client] = version
 	a.pending = append(a.pending, pendingUpdate{client: client, version: version, resp: resp})
 	return true, ""
@@ -102,12 +108,10 @@ func (a *BufferedAggregator) Stats() AggregatorStats { return a.stats }
 // Drain closes the round: it merges every pending update into one weight
 // snapshot and clears the buffer, returning the merged updates for
 // telemetry. Merge order is ascending client index regardless of arrival
-// order, and an all-fresh buffer goes through the exact FedAvg arithmetic
-// of the synchronous server — the two properties behind the engine's
-// bit-reproducible deterministic mode. Late updates are discounted by
-// (1+staleness)^-Lambda, staleness measured against current. prev is the
-// version-current broadcast snapshot, which delta-space defenses (Rule)
-// need; it is unused when Rule is nil.
+// order — the property behind the engine's bit-reproducible deterministic
+// mode. Late updates are discounted by (1+staleness)^-Lambda, staleness
+// measured against current. prev is the version-current broadcast
+// snapshot, which delta-space defenses need.
 func (a *BufferedAggregator) Drain(current int, prev Weights) (Weights, []pendingUpdate, error) {
 	if len(a.pending) == 0 {
 		return Weights{}, nil, fmt.Errorf("fl: draining empty aggregator")
@@ -119,28 +123,21 @@ func (a *BufferedAggregator) Drain(current int, prev Weights) (Weights, []pendin
 	updates := make([]Weights, len(merged))
 	counts := make([]int, len(merged))
 	staleness := make([]int, len(merged))
-	fresh := true
 	for i, p := range merged {
 		updates[i] = p.resp.Weights
 		counts[i] = p.resp.Samples
 		staleness[i] = current - p.version
 		if staleness[i] > 0 {
-			fresh = false
 			a.stats.StaleMerged++
 		}
 	}
 	a.stats.Merged += len(merged)
 
-	var w Weights
-	var err error
-	switch {
-	case a.Rule != nil:
-		w, err = a.Rule.Aggregate(prev, updates, counts, staleness, a.Lambda)
-	case fresh:
-		w, err = FedAvg(updates, counts)
-	default:
-		w, err = StalenessFedAvg(updates, counts, staleness, a.Lambda)
+	rule := a.Rule
+	if rule == nil {
+		rule = FedAvgAgg{}
 	}
+	w, err := rule.Aggregate(prev, updates, counts, staleness, a.Lambda)
 	if err != nil {
 		return Weights{}, nil, err
 	}
@@ -152,48 +149,8 @@ func (a *BufferedAggregator) Drain(current int, prev Weights) (Weights, []pendin
 // that keeps straggler updates useful without letting them drag the global
 // model toward an old version.
 func StalenessFedAvg(updates []Weights, counts, staleness []int, lambda float64) (Weights, error) {
-	if len(updates) == 0 {
-		return Weights{}, fmt.Errorf("fl: StalenessFedAvg with no updates")
+	if err := validateUpdates(updates, counts, staleness); err != nil {
+		return Weights{}, err
 	}
-	if len(updates) != len(counts) || len(updates) != len(staleness) {
-		return Weights{}, fmt.Errorf("fl: %d updates but %d counts, %d staleness", len(updates), len(counts), len(staleness))
-	}
-	weights := make([]float64, len(updates))
-	total := 0.0
-	for i, c := range counts {
-		if c <= 0 {
-			return Weights{}, fmt.Errorf("fl: non-positive sample count %d", c)
-		}
-		if staleness[i] < 0 {
-			return Weights{}, fmt.Errorf("fl: negative staleness %d", staleness[i])
-		}
-		weights[i] = float64(c) * math.Pow(1+float64(staleness[i]), -lambda)
-		total += weights[i]
-	}
-	ref := updates[0]
-	out := Weights{
-		Names:  append([]string(nil), ref.Names...),
-		Shapes: make([][]int, len(ref.Shapes)),
-		Data:   make([][]float32, len(ref.Data)),
-	}
-	for i := range ref.Data {
-		out.Shapes[i] = append([]int(nil), ref.Shapes[i]...)
-		out.Data[i] = make([]float32, len(ref.Data[i]))
-	}
-	for u, upd := range updates {
-		if len(upd.Data) != len(ref.Data) {
-			return Weights{}, fmt.Errorf("fl: update %d has %d tensors, expected %d", u, len(upd.Data), len(ref.Data))
-		}
-		frac := float32(weights[u] / total)
-		for i := range upd.Data {
-			if len(upd.Data[i]) != len(out.Data[i]) {
-				return Weights{}, fmt.Errorf("fl: update %d tensor %q size mismatch", u, ref.Names[i])
-			}
-			dst := out.Data[i]
-			for j, v := range upd.Data[i] {
-				dst[j] += frac * v
-			}
-		}
-	}
-	return out, nil
+	return weightedMean(updates, discounted(counts, staleness, lambda)), nil
 }

@@ -8,6 +8,37 @@ import (
 	"pelta/internal/obs"
 )
 
+// RoundResult summarizes one federation round.
+type RoundResult struct {
+	Round int
+	// Accuracy is the global model's validation accuracy after
+	// aggregation, when the server has an Eval hook.
+	Accuracy float64
+	// Notes carries client telemetry (e.g. attack outcome reports) and the
+	// engine's own drop / refusal lines.
+	Notes []string
+	// DownBytes is the wire size of the broadcast model; UpBytes sums the
+	// merged client updates — the §VI bandwidth accounting.
+	DownBytes int
+	UpBytes   int
+	// Merged, StaleMerged and Dropped describe the round's composition:
+	// updates folded in, the subset that arrived late from an older model
+	// version, and clients lost in transit.
+	Merged      int
+	StaleMerged int
+	Dropped     int
+	// Timing is the round's phase span: client training (client-measured),
+	// update transport (round-trip wall minus training), the aggregation
+	// rule plus apply, and the model broadcast (snapshot plus encoding).
+	// Timestamps read the engine's clock, so spans are deterministic when
+	// a fake clock is injected.
+	Timing obs.RoundSpan
+}
+
+// Span returns the round's phase span, stamped with its round number and
+// merged-client count.
+func (r *RoundResult) Span() obs.RoundSpan { return r.Timing }
+
 // AsyncConfig tunes the asynchronous round engine.
 type AsyncConfig struct {
 	// Rounds is the number of aggregations to run.
@@ -26,14 +57,15 @@ type AsyncConfig struct {
 	// (0 = DefaultLambda; set negative to force exactly 0).
 	Lambda float64
 	// Deterministic barriers each round on its full cohort and merges in
-	// client order: with a FullSampler the engine then reproduces the
-	// synchronous Server bit-identically, which is how Table-reproduction
-	// runs and tests stay seeded-reproducible.
+	// client order, so the global model is bit-identical for any Workers
+	// value — with a FullSampler, the plain broadcast → update → FedAvg
+	// loop of Fig. 1 (Workers 1 also visits the clients one at a time, in
+	// order). It is how Table-reproduction runs and tests stay
+	// seeded-reproducible.
 	Deterministic bool
 	// Agg is the aggregation defense applied when a round closes (nil =
-	// plain FedAvg/StalenessFedAvg, bit-identical to the pre-defense
-	// engine). Robust rules still see the staleness discounts, so the two
-	// mechanisms compose.
+	// FedAvgAgg). Robust rules still see the staleness discounts, so the
+	// two mechanisms compose.
 	Agg Aggregator
 }
 
@@ -43,7 +75,8 @@ const (
 	DefaultLambda       = 1.0
 )
 
-// AsyncServer is the asynchronous, sharded round engine: clients run
+// AsyncServer is the trusted FL aggregator of Fig. 1 and the package's one
+// round engine — asynchronous and sharded: clients run
 // concurrently on a goroutine worker pool over the Conn transport, the
 // server samples a client cohort per round, and a BufferedAggregator merges
 // updates as they arrive instead of barriering on the slowest client.

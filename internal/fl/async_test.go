@@ -2,6 +2,9 @@ package fl
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -167,11 +170,93 @@ func TestStalenessFedAvgDiscountsLateUpdates(t *testing.T) {
 	}
 }
 
+// TestStalenessFedAvgGolden pins StalenessFedAvg's arithmetic — float64
+// weights, left-to-right total, float32(w/total) fraction, update-major
+// accumulation — to a hash taken from the hand-written loop it had before
+// it was folded onto weightedMean.
+func TestStalenessFedAvgGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(20230913))
+	sizes := []int{37, 64, 5}
+	updates := make([]Weights, 5)
+	for u := range updates {
+		w := Weights{Names: []string{"a", "b", "c"}, Shapes: [][]int{{37}, {8, 8}, {5}}, Data: make([][]float32, len(sizes))}
+		for i, n := range sizes {
+			w.Data[i] = make([]float32, n)
+			for j := range w.Data[i] {
+				w.Data[i][j] = float32(rng.NormFloat64())
+			}
+		}
+		updates[u] = w
+	}
+	counts := []int{10, 25, 7, 40, 13}
+	for _, tc := range []struct {
+		staleness []int
+		want      uint64
+	}{
+		{[]int{0, 1, 2, 0, 3}, 0xf20977bd1050156e},
+		{zeros(5), 0x7adbd50e91118fc3},
+	} {
+		avg, err := StalenessFedAvg(updates, counts, tc.staleness, 0.7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, d := range avg.Data {
+			for _, v := range d {
+				u := math.Float32bits(v)
+				h.Write([]byte{byte(u), byte(u >> 8), byte(u >> 16), byte(u >> 24)})
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Fatalf("staleness %v: hash %#x, want %#x — the mean's arithmetic changed", tc.staleness, got, tc.want)
+		}
+	}
+}
+
 // --- async engine -------------------------------------------------------
 
+// referenceRounds is the test oracle for the engine's deterministic mode: an
+// independent, strictly sequential broadcast → update → FedAvg → apply loop
+// (Fig. 1 of the paper) sharing nothing with AsyncServer.Run.
+func referenceRounds(global models.Model, conns []Conn, rounds int) error {
+	for r := 1; r <= rounds; r++ {
+		req := UpdateRequest{Round: r, Weights: Snapshot(global)}
+		updates := make([]Weights, len(conns))
+		counts := make([]int, len(conns))
+		for i, c := range conns {
+			resp, err := c.Update(req)
+			if err != nil {
+				return fmt.Errorf("round %d client %s: %w", r, c.ID(), err)
+			}
+			updates[i], counts[i] = resp.Weights, resp.Samples
+		}
+		avg, err := FedAvg(updates, counts)
+		if err != nil {
+			return err
+		}
+		if err := Apply(global, avg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// requireBitEqual fails unless two snapshots agree in every coordinate.
+func requireBitEqual(t *testing.T, want, got Weights) {
+	t.Helper()
+	for i := range want.Data {
+		for j := range want.Data[i] {
+			if math.Float32bits(want.Data[i][j]) != math.Float32bits(got.Data[i][j]) {
+				t.Fatalf("weight %s[%d] differs: %v vs %v", want.Names[i], j, want.Data[i][j], got.Data[i][j])
+			}
+		}
+	}
+}
+
 // TestAsyncDeterministicMatchesSequential is the engine's reproducibility
-// contract: in deterministic mode with full participation, the async engine
-// produces the synchronous FedAvg result bit-identically.
+// contract: in deterministic mode with full participation, the engine
+// produces the sequential reference loop's result bit-identically, with one
+// worker and with one per client.
 func TestAsyncDeterministicMatchesSequential(t *testing.T) {
 	train, _ := flDataset(t)
 	shards := train.Shards(3)
@@ -184,38 +269,34 @@ func TestAsyncDeterministicMatchesSequential(t *testing.T) {
 		return conns
 	}
 
-	seqGlobal := newTestModel(59)
-	seq := &Server{Global: seqGlobal, Conns: fleet()}
-	seqRes, err := seq.Run(3)
-	if err != nil {
+	refGlobal := newTestModel(59)
+	if err := referenceRounds(refGlobal, fleet(), 3); err != nil {
 		t.Fatal(err)
 	}
+	want := Snapshot(refGlobal)
 
-	asyncGlobal := newTestModel(59)
-	async := &AsyncServer{
-		Global: asyncGlobal,
-		Conns:  fleet(),
-		Config: AsyncConfig{Rounds: 3, Deterministic: true, Workers: 3},
-	}
-	asyncRes, err := async.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(asyncRes) != len(seqRes) {
-		t.Fatalf("rounds: async %d vs sequential %d", len(asyncRes), len(seqRes))
-	}
-	for i := range asyncRes {
-		if asyncRes[i].DownBytes != seqRes[i].DownBytes || asyncRes[i].UpBytes != seqRes[i].UpBytes {
-			t.Fatalf("round %d bandwidth differs: async %+v vs sequential %+v", i+1, asyncRes[i], seqRes[i])
+	var first []RoundResult
+	for _, workers := range []int{1, 3} {
+		global := newTestModel(59)
+		srv := sequentialServer(global, fleet(), 3)
+		srv.Config.Workers = workers
+		results, err := srv.Run()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	ws, wa := Snapshot(seqGlobal), Snapshot(asyncGlobal)
-	for i := range ws.Data {
-		for j := range ws.Data[i] {
-			if ws.Data[i][j] != wa.Data[i][j] {
-				t.Fatalf("weight %s[%d] differs: %v vs %v — deterministic mode is not bit-identical",
-					ws.Names[i], j, ws.Data[i][j], wa.Data[i][j])
+		if len(results) != 3 {
+			t.Fatalf("workers %d: %d rounds, want 3", workers, len(results))
+		}
+		requireBitEqual(t, want, Snapshot(global))
+		// Bandwidth accounting follows the weights, so it cannot depend on
+		// the worker count either.
+		if first == nil {
+			first = results
+		}
+		for i, r := range results {
+			if r.DownBytes <= 0 || r.DownBytes != first[i].DownBytes || r.UpBytes != first[i].UpBytes {
+				t.Fatalf("workers %d round %d bandwidth %d/%d, workers 1 had %d/%d",
+					workers, i+1, r.DownBytes, r.UpBytes, first[i].DownBytes, first[i].UpBytes)
 			}
 		}
 	}
@@ -326,13 +407,13 @@ func benchFleet(m models.Model) []Conn {
 	return conns
 }
 
-// BenchmarkRoundThroughputSequential8 measures the synchronous server: every
-// round serially visits all 8 clients and barriers on the straggler.
+// BenchmarkRoundThroughputSequential8 measures the sequential regime: one
+// worker serially visits all 8 clients and barriers on the straggler.
 func BenchmarkRoundThroughputSequential8(b *testing.B) {
 	m := newTestModel(99)
-	srv := &Server{Global: m, Conns: benchFleet(m)}
+	srv := sequentialServer(m, benchFleet(m), b.N)
 	b.ResetTimer()
-	if _, err := srv.Run(b.N); err != nil {
+	if _, err := srv.Run(); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -113,8 +113,9 @@ func TestModelReplacementDefeatedByDefenses(t *testing.T) {
 		} else {
 			conns[3] = Local(NewHonestClient("h3", newTestModel(53), shards[3], tc))
 		}
-		srv := &Server{Global: newTestModel(49), Conns: conns, Agg: agg}
-		if _, err := srv.Run(5); err != nil {
+		srv := sequentialServer(newTestModel(49), conns, 5)
+		srv.Config.Agg = agg
+		if _, err := srv.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return models.Accuracy(srv.Global, val.X, val.Y)
@@ -136,5 +137,45 @@ func TestModelReplacementDefeatedByDefenses(t *testing.T) {
 	}
 	if defended < clean*0.8 {
 		t.Fatalf("multikrum did not recover: clean %.2f, defended %.2f", clean, defended)
+	}
+}
+
+// TestNaNBombContained: one client whose update carries a single NaN must
+// cost the federation that client's update and nothing else, whatever the
+// aggregation rule — unchecked, the NaN reaches every coordinate of the
+// global model through the mean (fedavg, normclip) within two rounds.
+func TestNaNBombContained(t *testing.T) {
+	const rounds = 2
+	bomb := Snapshot(newTestModel(4))
+	bomb.Data[0][0] = float32(math.NaN())
+	for _, name := range AggregatorNames() {
+		agg, err := NewAggregator(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns := []Conn{
+			&stubConn{name: "h1", w: Snapshot(newTestModel(1)), n: 10},
+			&stubConn{name: "h2", w: Snapshot(newTestModel(2)), n: 20},
+			&stubConn{name: "nan", w: bomb, n: 30},
+			&stubConn{name: "h3", w: Snapshot(newTestModel(3)), n: 10},
+		}
+		global := newTestModel(5)
+		srv := sequentialServer(global, conns, rounds)
+		srv.Config.Agg = agg
+		results, err := srv.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, r := range results {
+			if r.Merged != 3 || len(r.Notes) != 1 || r.Notes[0] != "nan: update refused ("+RejectNonFinite+")" {
+				t.Fatalf("%s round %d: merged %d, notes %q; want the three honest updates and the refusal", name, r.Round, r.Merged, r.Notes)
+			}
+		}
+		if st := srv.Stats(); st.NonFinite != rounds || st.Merged != 3*rounds {
+			t.Fatalf("%s: stats %+v, want %d non-finite refusals", name, st, rounds)
+		}
+		if nonFinite(Snapshot(global)) {
+			t.Fatalf("%s: the global model carries a non-finite coordinate", name)
+		}
 	}
 }

@@ -33,14 +33,15 @@ func TestCheckpointServesBitIdenticalLogits(t *testing.T) {
 
 	// Train the global model for one federation round, as a sweep cell
 	// would, then checkpoint it.
-	server := &fl.Server{
+	server := &fl.AsyncServer{
 		Global: newModel(21),
 		Conns: []fl.Conn{
 			fl.Local(fl.NewHonestClient("c1", newModel(22), shards[0], tc)),
 			fl.Local(fl.NewHonestClient("c2", newModel(23), shards[1], tc)),
 		},
+		Config: fl.AsyncConfig{Rounds: 1, Deterministic: true, Workers: 1},
 	}
-	if _, err := server.Run(1); err != nil {
+	if _, err := server.Run(); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "ckpt.gob")

@@ -6,37 +6,39 @@
 // attach either in-process or over TCP with a gob wire format (Conn,
 // ServeClient, Dial).
 //
-// Two server regimes share the RoundResult telemetry:
+// AsyncServer is the one round engine: a Sampler draws a client cohort per
+// round, a goroutine worker pool runs their updates concurrently over the
+// Conn transport, and a BufferedAggregator merges updates as they arrive —
+// closing a round at Quorum instead of barriering on the slowest client,
+// folding stragglers in with a (1+staleness)^-λ discount (StalenessFedAvg),
+// and refusing duplicate deliveries, beyond-horizon updates and updates
+// carrying a NaN or ±Inf coordinate (BufferedAggregator.Offer is the single
+// point where a client's bytes enter aggregation). The paper's synchronous
+// loop — broadcast, barrier on all clients, FedAvg — is the same engine
+// with AsyncConfig.Deterministic set; Workers 1 visits the clients one at a
+// time, Workers 0 trains them in parallel, and the result is the same bit
+// for bit.
 //
-//   - Server is the synchronous FedAvg loop of the paper: every round
-//     broadcasts, barriers on all clients, and applies the sample-weighted
-//     average (FedAvg).
-//   - AsyncServer is the traffic-scale engine: a Sampler draws a client
-//     cohort per round, a goroutine worker pool runs their updates
-//     concurrently over the Conn transport, and a BufferedAggregator
-//     merges updates as they arrive — closing a round at Quorum instead of
-//     barriering on the slowest client, folding stragglers in with a
-//     (1+staleness)^-λ discount (StalenessFedAvg), and refusing duplicate
-//     deliveries and beyond-horizon updates.
-//
-// Robust aggregation under poisoning: both servers take a pluggable
+// Robust aggregation under poisoning: the engine takes a pluggable
 // Aggregator defense — Krum/Multi-Krum selection, coordinate-wise trimmed
 // mean and median, and norm-clipped FedAvg (NewAggregator) — that bounds
 // what a minority of malicious clients can do to the global model. The
 // attacker side fields three poison strategies: the label-flip shard
 // poisoner (PoisoningClient), and the update-space SignFlipClient and
 // ModelReplacementClient (scaled boosting) the defenses exist to stop.
-// Robust rules compose with the async engine's staleness discounts, and a
-// nil Aggregator (or FedAvgAgg) reproduces the defenseless engine
-// bit-identically. Checkpoints written by SaveCheckpoint stamp which
-// defense trained the weights (CheckpointMeta), so a serving warm start
-// can report the model's provenance.
+// Robust rules compose with the engine's staleness discounts; a nil
+// Aggregator means FedAvgAgg. Every mean goes through one kernel
+// (weightedMean) except FedAvg itself, whose float32 count fraction seeded
+// runs are pinned to, and validateUpdates is the one shape/count/finite
+// check in front of all of them. Checkpoints written by SaveCheckpoint
+// stamp which defense trained the weights (CheckpointMeta), so a serving
+// warm start can report the model's provenance.
 //
 // Round-phase telemetry: every RoundResult carries an obs.RoundSpan
 // breaking the round's wall time into client training (client-measured
 // TrainNS, summed over the merged cohort), transport (round-trip wall
 // minus training), aggregation (rule + apply) and broadcast (snapshot +
-// encoding), stamped on the injectable Now clock of either engine.
+// encoding), stamped on the engine's injectable Now clock.
 // RoundSpans extracts them for NDJSON export (cmd/flsim -trace) and
 // eval.SummarizeRoundSpans; RoundMetrics renders the cumulative phase
 // totals as registry metrics for the unified exposition.
@@ -47,8 +49,10 @@
 // path. Determinism: samplers are pure functions of (seed, round), every
 // malicious client reseeds its probe per round from its own seed, and
 // AsyncConfig.Deterministic barriers each round and merges in client order
-// so a FullSampler run reproduces the synchronous Server bit-identically —
-// the property Table-reproduction runs and the test suite pin down.
+// so a FullSampler run reproduces a plain sequential broadcast → update →
+// FedAvg loop bit-identically at any worker count — the property
+// Table-reproduction runs rely on and the test suite pins against an
+// independent reference loop.
 //
 // SweepSpec/RunSweep execute a scenario matrix — {fleet size × non-IID
 // shard skew × shield on/off × probe attack × poisoning fraction × poison

@@ -28,6 +28,16 @@ func newTestModel(seed int64) models.Model {
 	return models.NewViT(models.SmallViT("vit-fl", 4, 8, 4), tensor.NewRNG(seed))
 }
 
+// sequentialServer builds the engine in its sequential regime: barriered
+// rounds, one worker, clients visited in order.
+func sequentialServer(global models.Model, conns []Conn, rounds int) *AsyncServer {
+	return &AsyncServer{
+		Global: global,
+		Conns:  conns,
+		Config: AsyncConfig{Rounds: rounds, Deterministic: true, Workers: 1},
+	}
+}
+
 func TestSnapshotApplyRoundTrip(t *testing.T) {
 	m1 := newTestModel(1)
 	m2 := newTestModel(2)
@@ -105,12 +115,9 @@ func TestFederatedTrainingImprovesGlobalModel(t *testing.T) {
 			"client"+string(rune('A'+i)), newTestModel(int64(20+i)), sh, tc)))
 	}
 	before := models.Accuracy(global, val.X, val.Y)
-	srv := &Server{
-		Global: global,
-		Conns:  conns,
-		Eval:   func(m models.Model) float64 { return models.Accuracy(m, val.X, val.Y) },
-	}
-	results, err := srv.Run(3)
+	srv := sequentialServer(global, conns, 3)
+	srv.Eval = func(m models.Model) float64 { return models.Accuracy(m, val.X, val.Y) }
+	results, err := srv.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,29 +133,26 @@ func TestFederatedTrainingImprovesGlobalModel(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequentialAggregation: fanning the cohort out over a
+// worker pool must not change a single bit of the deterministic aggregate.
 func TestParallelMatchesSequentialAggregation(t *testing.T) {
-	train, val := flDataset(t)
+	train, _ := flDataset(t)
 	shards := train.Shards(2)
 	tc := models.TrainConfig{Epochs: 1, BatchSize: 16, LR: 1e-3, Seed: 2}
-	run := func(parallel bool) []int {
+	run := func(workers int) Weights {
 		global := newTestModel(30)
 		conns := []Conn{
 			Local(NewHonestClient("a", newTestModel(31), shards[0], tc)),
 			Local(NewHonestClient("b", newTestModel(32), shards[1], tc)),
 		}
-		srv := &Server{Global: global, Conns: conns, Parallel: parallel}
-		if _, err := srv.Run(1); err != nil {
+		srv := sequentialServer(global, conns, 1)
+		srv.Config.Workers = workers
+		if _, err := srv.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return models.Predict(global, val.X)
+		return Snapshot(global)
 	}
-	seq := run(false)
-	par := run(true)
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatal("parallel collection changed the aggregate")
-		}
-	}
+	requireBitEqual(t, run(1), run(len(shards)))
 }
 
 func TestTCPTransportRoundTrip(t *testing.T) {
@@ -195,9 +199,9 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 }
 
 func TestServerNoClients(t *testing.T) {
-	srv := &Server{Global: newTestModel(1)}
-	if _, err := srv.Run(1); err == nil {
-		t.Fatal("serverless federation must fail")
+	_, err := sequentialServer(newTestModel(1), nil, 1).Run()
+	if err == nil || !strings.Contains(err.Error(), "no clients") {
+		t.Fatalf("clientless federation must fail naming the cause, got %v", err)
 	}
 }
 
@@ -213,15 +217,12 @@ func TestCompromisedClientShieldMitigatesProbe(t *testing.T) {
 	runFL := func(shield bool) *CompromisedClient {
 		global := newTestModel(50)
 		comp := NewCompromisedClient("mallory", newTestModel(51), shards[0], tc, probe, 10, shield)
-		srv := &Server{
-			Global: global,
-			Conns: []Conn{
-				Local(comp),
-				Local(NewHonestClient("alice", newTestModel(52), shards[1], tc)),
-			},
-			Eval: func(m models.Model) float64 { return models.Accuracy(m, val.X, val.Y) },
-		}
-		results, err := srv.Run(2)
+		srv := sequentialServer(global, []Conn{
+			Local(comp),
+			Local(NewHonestClient("alice", newTestModel(52), shards[1], tc)),
+		}, 2)
+		srv.Eval = func(m models.Model) float64 { return models.Accuracy(m, val.X, val.Y) }
+		results, err := srv.Run()
 		if err != nil {
 			t.Fatal(err)
 		}

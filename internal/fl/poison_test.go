@@ -19,15 +19,12 @@ func TestPoisoningClientCraftsEffectivePoison(t *testing.T) {
 	run := func(shield bool) (*PoisoningClient, float64) {
 		global := newTestModel(90)
 		poisoner := NewPoisoningClient("eve", newTestModel(91), shards[0], tc, probe, 0.3, shield)
-		srv := &Server{
-			Global: global,
-			Conns: []Conn{
-				Local(poisoner),
-				Local(NewHonestClient("alice", newTestModel(92), shards[1], tc)),
-			},
-			Eval: func(m models.Model) float64 { return models.Accuracy(m, val.X, val.Y) },
-		}
-		results, err := srv.Run(5)
+		srv := sequentialServer(global, []Conn{
+			Local(poisoner),
+			Local(NewHonestClient("alice", newTestModel(92), shards[1], tc)),
+		}, 5)
+		srv.Eval = func(m models.Model) float64 { return models.Accuracy(m, val.X, val.Y) }
+		results, err := srv.Run()
 		if err != nil {
 			t.Fatal(err)
 		}

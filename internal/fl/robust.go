@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -61,7 +62,25 @@ func NewAggregator(name string) (Aggregator, error) {
 	}
 }
 
-// validateUpdates checks the inputs every rule shares.
+// errNonFinite marks an update carrying a NaN or ±Inf coordinate: one such
+// value poisons every mean it enters and breaks the ordering the
+// sort-based rules rely on.
+var errNonFinite = errors.New("non-finite value")
+
+// nonFinite reports whether w carries a NaN or ±Inf coordinate.
+func nonFinite(w Weights) bool {
+	for _, d := range w.Data {
+		for _, v := range d {
+			if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// validateUpdates checks the inputs every rule shares: matching lengths and
+// shapes, positive counts, non-negative staleness, finite values.
 func validateUpdates(updates []Weights, counts, staleness []int) error {
 	if len(updates) == 0 {
 		return fmt.Errorf("fl: aggregating no updates")
@@ -78,6 +97,9 @@ func validateUpdates(updates []Weights, counts, staleness []int) error {
 			if len(upd.Data[i]) != len(ref.Data[i]) {
 				return fmt.Errorf("fl: update %d tensor %q size mismatch", u, ref.Names[i])
 			}
+		}
+		if nonFinite(upd) {
+			return fmt.Errorf("fl: update %d: %w", u, errNonFinite)
 		}
 	}
 	for i, c := range counts {
@@ -136,10 +158,9 @@ func weightedMean(updates []Weights, ws []float64) Weights {
 	return out
 }
 
-// FedAvgAgg is the FedAvg baseline behind the Aggregator interface. It runs
-// the exact arithmetic of FedAvg (all updates fresh) or StalenessFedAvg
-// (any straggler), so a federation configured with FedAvgAgg reproduces a
-// defenseless one bit-identically — including deterministic mode.
+// FedAvgAgg is the FedAvg baseline behind the Aggregator interface and the
+// engine's default rule: FedAvg when every update is fresh, StalenessFedAvg
+// as soon as one is a straggler.
 type FedAvgAgg struct{}
 
 // Name implements Aggregator.

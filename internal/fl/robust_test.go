@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -240,5 +241,14 @@ func TestAggregateRejectsBadInput(t *testing.T) {
 		if _, err := a.Aggregate(wv(0), []Weights{wv(1), wv(2)}, []int{1, 0}, zeros(2), 0); err == nil {
 			t.Fatalf("%s: non-positive count must fail", a.Name())
 		}
+		for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+			_, err := a.Aggregate(wv(0, 0), []Weights{wv(1, 2), wv(3, bad), wv(5, 6)}, ones(3), zeros(3), 0)
+			if !errors.Is(err, errNonFinite) {
+				t.Fatalf("%s: update carrying %v must fail with errNonFinite, got %v", a.Name(), bad, err)
+			}
+		}
+	}
+	if _, err := StalenessFedAvg([]Weights{wv(1), wv(float32(math.NaN()))}, ones(2), []int{0, 1}, 1); !errors.Is(err, errNonFinite) {
+		t.Fatalf("StalenessFedAvg must refuse a NaN update, got %v", err)
 	}
 }

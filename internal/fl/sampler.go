@@ -17,8 +17,9 @@ type Sampler interface {
 }
 
 // FullSampler selects every client every round — the synchronous FedAvg
-// regime of the paper's Fig. 1 and the setting under which the async engine
-// reproduces the sequential Server bit-identically.
+// regime of the paper's Fig. 1 and the setting under which the engine's
+// deterministic mode reproduces a sequential reference loop bit-identically
+// (Workers 1 is that loop; any other worker count gives the same bits).
 type FullSampler struct{}
 
 // Sample implements Sampler.

@@ -29,12 +29,9 @@ func TestShieldedHonestClientTrainsInFederation(t *testing.T) {
 	plain := NewHonestClient("plain", newTestModel(62), shards[1],
 		models.TrainConfig{Epochs: 2, BatchSize: 16, LR: 2e-3, Seed: 1})
 
-	srv := &Server{
-		Global: global,
-		Conns:  []Conn{Local(shieldedClient), Local(plain)},
-		Eval:   func(m models.Model) float64 { return models.Accuracy(m, val.X, val.Y) },
-	}
-	results, err := srv.Run(4)
+	srv := sequentialServer(global, []Conn{Local(shieldedClient), Local(plain)}, 4)
+	srv.Eval = func(m models.Model) float64 { return models.Accuracy(m, val.X, val.Y) }
+	results, err := srv.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // tickClock advances a fixed step on every Now() call, making the span
-// arithmetic of the round engines exact: each timestamp pair measured
+// arithmetic of the round engine exact: each timestamp pair measured
 // around a section differs by step × (calls in between).
 type tickClock struct {
 	mu   sync.Mutex
@@ -43,23 +43,21 @@ func (c *timedConn) Update(req UpdateRequest) (UpdateResponse, error) {
 func (c *timedConn) ID() string   { return c.name }
 func (c *timedConn) Close() error { return nil }
 
-// TestServerRoundSpansExact pins the sync engine's phase accounting on a
-// tick clock: 4 Now() calls per round bracket broadcast / collect /
-// aggregate, so with a 1ms step each bracketed section reads exactly 1ms
-// and transport is that collect wall net of the declared training time.
+// TestServerRoundSpansExact pins the engine's phase accounting on a tick
+// clock in the sequential regime: with one worker no two Now() pairs
+// interleave, so with a 1ms step each bracketed section (broadcast, one
+// client round-trip, aggregate) reads exactly 1ms and transport is the sum
+// of the round-trips net of the declared training time.
 func TestServerRoundSpansExact(t *testing.T) {
 	g := newTestModel(7)
 	w := Snapshot(g)
 	const trainNS = int64(400_000) // 0.4ms per client
-	srv := &Server{
-		Global: g,
-		Conns: []Conn{
-			&timedConn{name: "a", w: w, trainNS: trainNS},
-			&timedConn{name: "b", w: w, trainNS: trainNS},
-		},
-		Now: newTickClock(time.Millisecond).Now,
-	}
-	results, err := srv.Run(3)
+	srv := sequentialServer(g, []Conn{
+		&timedConn{name: "a", w: w, trainNS: trainNS},
+		&timedConn{name: "b", w: w, trainNS: trainNS},
+	}, 3)
+	srv.Now = newTickClock(time.Millisecond).Now
+	results, err := srv.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +71,7 @@ func TestServerRoundSpansExact(t *testing.T) {
 			Round:       i + 1,
 			Clients:     2,
 			TrainNS:     2 * trainNS,
-			TransportNS: ms - 2*trainNS,
+			TransportNS: 2 * (ms - trainNS),
 			AggregateNS: ms,
 			BroadcastNS: ms,
 		}
@@ -102,11 +100,11 @@ func TestServerRoundSpansExact(t *testing.T) {
 	}
 }
 
-// TestAsyncRoundSpans pins the async engine's phase accounting: per-round
-// spans carry the merged cohort's declared training time, a positive
-// transport share (workers bracket each round-trip on the clock), and
-// exact 1ms aggregate/broadcast sections under the barriered deterministic
-// mode.
+// TestAsyncRoundSpans pins the phase accounting with a worker per client:
+// per-round spans carry the merged cohort's declared training time, a
+// positive transport share (workers bracket each round-trip on the clock),
+// and exact 1ms aggregate/broadcast sections under the barriered
+// deterministic mode.
 func TestAsyncRoundSpans(t *testing.T) {
 	g := newTestModel(11)
 	w := Snapshot(g)

@@ -50,40 +50,22 @@ func Apply(m models.Model, w Weights) error {
 }
 
 // FedAvg computes the sample-count-weighted average of client updates — the
-// aggregation rule of McMahan et al. used by the paper's FL scheme.
+// aggregation rule of McMahan et al. used by the paper's FL scheme. Its
+// per-update fraction is float32(count)/float32(total), a different
+// rounding from weightedMean's float32(w/total); seeded runs are pinned to
+// it, which is why the fresh path keeps its own loop.
 func FedAvg(updates []Weights, counts []int) (Weights, error) {
-	if len(updates) == 0 {
-		return Weights{}, fmt.Errorf("fl: FedAvg with no updates")
-	}
-	if len(updates) != len(counts) {
-		return Weights{}, fmt.Errorf("fl: %d updates but %d counts", len(updates), len(counts))
+	if err := validateUpdates(updates, counts, make([]int, len(updates))); err != nil {
+		return Weights{}, err
 	}
 	total := 0
 	for _, c := range counts {
-		if c <= 0 {
-			return Weights{}, fmt.Errorf("fl: non-positive sample count %d", c)
-		}
 		total += c
 	}
-	ref := updates[0]
-	out := Weights{
-		Names:  append([]string(nil), ref.Names...),
-		Shapes: make([][]int, len(ref.Shapes)),
-		Data:   make([][]float32, len(ref.Data)),
-	}
-	for i := range ref.Data {
-		out.Shapes[i] = append([]int(nil), ref.Shapes[i]...)
-		out.Data[i] = make([]float32, len(ref.Data[i]))
-	}
+	out := emptyLike(updates[0])
 	for u, upd := range updates {
-		if len(upd.Data) != len(ref.Data) {
-			return Weights{}, fmt.Errorf("fl: update %d has %d tensors, expected %d", u, len(upd.Data), len(ref.Data))
-		}
 		frac := float32(counts[u]) / float32(total)
 		for i := range upd.Data {
-			if len(upd.Data[i]) != len(out.Data[i]) {
-				return Weights{}, fmt.Errorf("fl: update %d tensor %q size mismatch", u, ref.Names[i])
-			}
 			dst := out.Data[i]
 			for j, v := range upd.Data[i] {
 				dst[j] += frac * v

@@ -36,12 +36,12 @@
 //     served, shed, rejected, errors, mean batch) and p50/p95/p99 latency via the
 //     P² streaming quantile sketch (P2Quantile), validated in tests
 //     against the exact eval.Quantiles on the same samples.
-//   - RunLoad / RunLoadPhases — open-loop load generators over a mixed
-//     benign + adversarial traffic pool: RunLoad fires a fixed-rate run,
-//     RunLoadPhases a LoadPhase trace (rate × duration × adv-frac steps —
-//     ramps, bursts, diurnal shapes) with per-phase, per-route accounting.
-//     All pacing, deadline stamps and latency measurements read the
-//     service clock.
+//   - RunLoadPhases — the open-loop load generator over a mixed benign +
+//     adversarial traffic pool: it fires a LoadPhase trace (rate ×
+//     duration × adv-frac steps — ramps, bursts, diurnal shapes; one phase
+//     is a fixed-rate run) with per-phase, per-route accounting. All
+//     pacing, deadline stamps and latency measurements read the service
+//     clock.
 //   - NewHandler — the HTTP surface (NDJSON /query, /metrics, /healthz)
 //     used by cmd/peltaserve. /query summarizes its line outcomes in
 //     X-Pelta-Served/-Shed/-Errors headers and answers 503 when no line

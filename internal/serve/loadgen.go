@@ -24,25 +24,23 @@ type TrafficItem struct {
 	Adversarial bool
 }
 
-// LoadConfig drives one open-loop load run: requests are launched at the
-// offered rate regardless of completions, the way real traffic arrives, so
-// an overloaded service accumulates queue depth and sheds instead of
-// silently slowing the generator down (closed-loop coordination omission).
+// LoadConfig holds what every phase of an open-loop load run shares. Open
+// loop: requests are launched at each phase's offered rate regardless of
+// completions, the way real traffic arrives, so an overloaded service
+// accumulates queue depth and sheds instead of silently slowing the
+// generator down (closed-loop coordination omission).
 type LoadConfig struct {
-	// Rate is the offered load in requests/second (required).
-	Rate float64
-	// Requests is the total number launched (required).
-	Requests int
 	// Deadline, when > 0, is each request's service deadline.
 	Deadline time.Duration
 	// Seed draws the traffic mix.
 	Seed int64
 }
 
-// LoadReport summarizes one load run. BenignServed/AdvServed count served
-// requests per stream and BenignShed/AdvShed the per-stream sheds — the
-// fairness question "who paid for the overload" is unanswerable from the
-// aggregate Shed alone. Accuracy is reported separately for benign and
+// LoadReport summarizes one phase, or the whole, of a load run.
+// BenignServed/AdvServed count served requests per stream and
+// BenignShed/AdvShed the per-stream sheds — the fairness question "who
+// paid for the overload" is unanswerable from the aggregate Shed alone.
+// Accuracy is reported separately for benign and
 // adversarial traffic: BenignAccuracy is plain accuracy, AdvRobustAccuracy
 // is the fraction of served adversarial probes still classified as their
 // true label (the serving-path analogue of robust accuracy).
@@ -201,36 +199,6 @@ func (r *LoadReport) finish(elapsed time.Duration) {
 	}
 }
 
-// RunLoad fires cfg.Requests items drawn from the traffic mix at the
-// open-loop rate and waits for every in-flight request to resolve. Benign
-// items are submitted on route "benign", adversarial probes on route "adv",
-// so the per-route counters separate the two streams.
-func RunLoad(s *Service, items []TrafficItem, cfg LoadConfig) (*LoadReport, error) {
-	if len(items) == 0 {
-		return nil, fmt.Errorf("serve: loadgen needs traffic items")
-	}
-	if cfg.Rate <= 0 || cfg.Requests <= 0 {
-		return nil, fmt.Errorf("serve: loadgen needs Rate > 0 and Requests > 0")
-	}
-	clk := s.Clock()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	interval := time.Duration(float64(time.Second) / cfg.Rate)
-	start := clk.Now()
-	shots := make([]shot, cfg.Requests)
-	for i := range shots {
-		shots[i] = shot{due: start.Add(time.Duration(i) * interval), item: rng.Intn(len(items))}
-	}
-	outcomes := fire(s, items, shots, cfg.Deadline)
-	elapsed := clk.Now().Sub(start)
-
-	rep := &LoadReport{OfferedRate: cfg.Rate}
-	for _, o := range outcomes {
-		rep.tally(items, o)
-	}
-	rep.finish(elapsed)
-	return rep, nil
-}
-
 // LoadPhase is one step of a phased load trace: Rate req/s for Duration,
 // with AdvFrac of the requests drawn from the adversarial pool. Chaining
 // phases expresses ramps, bursts and diurnal steps — the traces that
@@ -292,11 +260,12 @@ type PhasedReport struct {
 	Total  LoadReport    `json:"total"`
 }
 
-// RunLoadPhases fires a phased trace: each phase launches Rate×Duration
-// requests at its open-loop rate, drawing each request from the
-// adversarial pool with probability AdvFrac and from the benign pool
-// otherwise (unlike RunLoad, which inherits the pool's fixed mix). The
-// timeline is continuous — phase i+1 starts on schedule even if phase i
+// RunLoadPhases fires a phased trace — a fixed-rate run is the one-phase
+// case: each phase launches Rate×Duration requests at its open-loop rate,
+// drawing each request from the adversarial pool with probability AdvFrac
+// and from the benign pool otherwise. Benign items are submitted on route
+// "benign", adversarial probes on route "adv", so the per-route counters
+// separate the two streams. The timeline is continuous — phase i+1 starts on schedule even if phase i
 // still has requests in flight, exactly how a real burst lands on a
 // service that has not drained — and every request's outcome is accounted
 // to the phase that launched it.
@@ -313,6 +282,9 @@ func RunLoadPhases(s *Service, items []TrafficItem, phases []LoadPhase, cfg Load
 		}
 	}
 	for _, p := range phases {
+		if p.Rate <= 0 || p.Duration <= 0 {
+			return nil, fmt.Errorf("serve: phase %s needs a positive rate and duration", p)
+		}
 		if p.AdvFrac > 0 && len(adv) == 0 {
 			return nil, fmt.Errorf("serve: phase %s draws adversarial traffic but the pool has none", p)
 		}

@@ -26,14 +26,16 @@ func TestRunLoadOnFakeClock(t *testing.T) {
 
 	items := []TrafficItem{{X: sample(1), Label: 2}} // stub argmax is the last class
 	type res struct {
-		rep *LoadReport
+		rep *PhasedReport
 		err error
 	}
 	done := make(chan res, 1)
 	go func() {
-		// Rate 2e9 ⇒ the pacing interval truncates to 0, so every request
-		// is due immediately and no pacing timer waits on the fake clock.
-		r, err := RunLoad(s, items, LoadConfig{Rate: 2e9, Requests: 8, Deadline: 50 * time.Millisecond, Seed: 1})
+		// One phase of 2e9 req/s × 4ns = 8 requests; at that rate the
+		// pacing interval truncates to 0, so every request is due
+		// immediately and no pacing timer waits on the fake clock.
+		phase := LoadPhase{Rate: 2e9, Duration: 4 * time.Nanosecond}
+		r, err := RunLoadPhases(s, items, []LoadPhase{phase}, LoadConfig{Deadline: 50 * time.Millisecond, Seed: 1})
 		done <- res{r, err}
 	}()
 
@@ -58,7 +60,7 @@ func TestRunLoadOnFakeClock(t *testing.T) {
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	r := out.rep
+	r := &out.rep.Total
 
 	if r.Sent != 8 || r.Served != 1 || r.Shed != 7 || r.Failed != 0 {
 		t.Fatalf("accounting %+v, want sent=8 served=1 shed=7", r)
@@ -68,8 +70,8 @@ func TestRunLoadOnFakeClock(t *testing.T) {
 	}
 	// The served request waited exactly the fake-clock advance — a wall
 	// clock would have measured microseconds here, and the two deadline
-	// sheds only happen at all because RunLoad stamps deadlines on the
-	// service clock.
+	// sheds only happen at all because the generator stamps deadlines on
+	// the service clock.
 	if len(r.LatenciesMs) != 1 || r.LatenciesMs[0] != 100 {
 		t.Fatalf("latencies %v, want exactly [100] on the fake timeline", r.LatenciesMs)
 	}
@@ -81,6 +83,10 @@ func TestRunLoadOnFakeClock(t *testing.T) {
 	}
 	if acc, ok := r.BenignAccuracy(); !ok || acc != 1 {
 		t.Fatalf("benign accuracy %v ok=%v, want 1.0 over the single served request", acc, ok)
+	}
+	// A one-phase run's only phase accounts for everything the total does.
+	if p := out.rep.Phases[0]; len(out.rep.Phases) != 1 || p.Sent != 8 || p.Served != 1 || p.Shed != 7 || p.Seconds != 0.1 {
+		t.Fatalf("single phase %+v does not match the total", p.LoadReport)
 	}
 }
 
@@ -199,7 +205,7 @@ func TestRunLoadPhasesAccounting(t *testing.T) {
 	}
 }
 
-// TestRunLoadPhasesValidation pins the pool checks.
+// TestRunLoadPhasesValidation pins the pool and phase checks.
 func TestRunLoadPhasesValidation(t *testing.T) {
 	s := NewService(stubPool(t, newStubReplica()), Config{})
 	defer s.Close()
@@ -213,5 +219,10 @@ func TestRunLoadPhasesValidation(t *testing.T) {
 	}
 	if _, err := RunLoadPhases(s, benignOnly, nil, LoadConfig{}); err == nil {
 		t.Fatal("empty phase list accepted")
+	}
+	for _, bad := range []LoadPhase{{Rate: 0, Duration: time.Millisecond}, {Rate: 10}} {
+		if _, err := RunLoadPhases(s, benignOnly, []LoadPhase{bad}, LoadConfig{}); err == nil {
+			t.Fatalf("phase %s accepted", bad)
+		}
 	}
 }

@@ -181,8 +181,9 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 	}
 }
 
-// TestRunLoadMixedTraffic exercises the load generator: mixed benign and
-// "adversarial" items at an open-loop rate, with accounting that adds up.
+// TestRunLoadMixedTraffic exercises the load generator: one phase of mixed
+// benign and "adversarial" items at an open-loop rate, with accounting that
+// adds up.
 func TestRunLoadMixedTraffic(t *testing.T) {
 	cfg := dataset.SynthCIFAR10(8, 9)
 	cfg.Classes, cfg.TrainN, cfg.ValN = 3, 3, 8
@@ -193,10 +194,12 @@ func TestRunLoadMixedTraffic(t *testing.T) {
 	for i := 0; i < val.Len(); i++ {
 		items = append(items, serve.TrafficItem{X: val.X.Slice(i), Label: val.Y[i], Adversarial: i%2 == 1})
 	}
-	rep, err := serve.RunLoad(s, items, serve.LoadConfig{Rate: 500, Requests: 40, Seed: 3})
+	phase := serve.LoadPhase{Rate: 500, Duration: 80 * time.Millisecond, AdvFrac: 0.5}
+	prep, err := serve.RunLoadPhases(s, items, []serve.LoadPhase{phase}, serve.LoadConfig{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := &prep.Total
 	if rep.Sent != 40 || rep.Served+rep.Shed+rep.Failed != 40 {
 		t.Fatalf("accounting broken: %+v", rep)
 	}

@@ -39,6 +39,16 @@ func (s *Service) initObservability() {
 
 	s.registry = obs.NewRegistry()
 	s.registry.Register("serve", s.metrics.Collect)
+	s.registry.Register("queue", func() []obs.Metric {
+		// Read the way autoscaler.step reads it, inside the service lock.
+		// Admission holds that lock shared from the offered bump to the
+		// queue send, so once the gauge reads, every request the offered
+		// counter already showed has been queued or refused.
+		s.mu.Lock()
+		depth := len(s.queue)
+		s.mu.Unlock()
+		return []obs.Metric{obs.Gauge("pelta_queue_depth", "Admitted requests waiting in the admission queue (the autoscaler's load signal).", float64(depth), nil)}
+	})
 	if s.det != nil {
 		det, clock := s.det, s.cfg.Clock
 		s.registry.Register("detect", func() []obs.Metric {
