@@ -68,7 +68,6 @@ type options struct {
 	overhead  bool
 	workers   int
 	benchJSON string
-	kernels   bool
 	trace     bool
 }
 
@@ -90,7 +89,6 @@ func run() error {
 	flag.BoolVar(&o.overhead, "overhead", false, "measure the §VI TEE overheads per defender")
 	flag.IntVar(&o.workers, "workers", 0, "attack-oracle worker pool size (0 = one per core)")
 	flag.StringVar(&o.benchJSON, "benchjson", "", "write stage timings to this JSON file (e.g. BENCH_peltabench.json)")
-	flag.BoolVar(&o.kernels, "kernels", false, "time the tensor kernel layer (single-threaded vs pooled) and exit")
 	flag.BoolVar(&o.trace, "trace", false, "drive a seeded burst through a fully traced service, print the per-stage latency table, and emit BENCH_trace.json")
 	flag.Parse()
 	eval.SetOracleWorkers(o.workers)
@@ -103,13 +101,6 @@ func run() error {
 		}
 	}()
 
-	if o.kernels {
-		if o.benchJSON == "" {
-			o.benchJSON = "BENCH_kernels.json"
-		}
-		runKernelBench(bench)
-		return nil
-	}
 	if o.trace {
 		return runTraceBench(o, bench)
 	}
@@ -313,74 +304,6 @@ func runTraceBench(o options, bench *benchLog) error {
 	}
 	fmt.Printf("wrote %d span records to %s\n", len(recs), out)
 	return nil
-}
-
-// runKernelBench times each hot kernel once single-threaded and once on the
-// shared worker pool, logging seconds per call. The benchEntry dataset field
-// carries the worker mode so the JSON artifact diffs cleanly across runs.
-func runKernelBench(bench *benchLog) {
-	rng := tensor.NewRNG(42)
-	pool := tensor.NewPool()
-
-	a := rng.Uniform(-1, 1, 256, 256)
-	bm := rng.Uniform(-1, 1, 256, 256)
-	mm := tensor.New(256, 256)
-
-	x := rng.Uniform(-1, 1, 8, 16, 32, 32)
-	w := rng.Uniform(-1, 1, 32, 16, 3, 3)
-	bias := rng.Uniform(-1, 1, 32)
-	oh := tensor.ConvOut(32, 3, 1, 1)
-	y := tensor.New(8, 32, oh, oh)
-	gy := rng.Uniform(-1, 1, 8, 32, oh, oh)
-	gx, gw, gb := tensor.New(x.Shape()...), tensor.New(w.Shape()...), tensor.New(32)
-
-	xt := rng.Uniform(-1, 1, 8, 16, 16, 16)
-	wt := rng.Uniform(-1, 1, 16, 3, 4, 4)
-	up := tensor.New(8, 3, (16-1)*2+4, (16-1)*2+4)
-
-	q := rng.Uniform(-1, 1, 16, 65, 48)
-	k := rng.Uniform(-1, 1, 16, 65, 48)
-	v := rng.Uniform(-1, 1, 16, 65, 48)
-	attn := tensor.New(16, 65, 48)
-	gq, gk, gv := tensor.New(16, 65, 48), tensor.New(16, 65, 48), tensor.New(16, 65, 48)
-	gattn := rng.Uniform(-1, 1, 16, 65, 48)
-
-	kernels := []struct {
-		stage string
-		run   func()
-	}{
-		{"kernel/matmul_256", func() { tensor.MatMulInto(mm, a, bm) }},
-		{"kernel/conv2d_fwd", func() { tensor.Conv2dInto(pool, y, x, w, bias, 1, 1) }},
-		{"kernel/conv2d_bwd", func() {
-			gb.Zero()
-			tensor.Conv2dBackwardInto(pool, gx, gw, gb, x, w, gy, 1, 1)
-		}},
-		{"kernel/convtranspose2d", func() { tensor.ConvTranspose2dInto(pool, up, xt, wt, 2, 0) }},
-		{"kernel/attention_fused_fwd", func() { tensor.FusedAttentionInto(pool, attn, q, k, v, 0.125) }},
-		{"kernel/attention_fused_bwd", func() {
-			gk.Zero()
-			gv.Zero()
-			tensor.FusedAttentionBackwardInto(pool, gq, gk, gv, q, k, v, gattn, 0.125)
-		}},
-	}
-	const reps = 5
-	for _, mode := range []struct {
-		label   string
-		workers int
-	}{{"workers=1", 1}, {"workers=auto", 0}} {
-		prev := tensor.SetKernelWorkers(mode.workers)
-		for _, kb := range kernels {
-			kb.run() // warm the pool and page in the operands
-			start := time.Now()
-			for i := 0; i < reps; i++ {
-				kb.run()
-			}
-			per := time.Since(start) / reps
-			bench.add(kb.stage, mode.label, per)
-			fmt.Printf("%-28s %-14s %12v/op\n", kb.stage, mode.label, per.Round(time.Microsecond))
-		}
-		tensor.SetKernelWorkers(prev)
-	}
 }
 
 func hasItem(spec, item string) bool {

@@ -2,15 +2,14 @@
 // shield-confidentiality invariants at compile time. It type-checks the
 // named packages (default ./...) with the standard library's go/parser +
 // go/types — no external analysis framework — and reports violations of
-// ten repo-specific rules.
+// nine repo-specific rules.
 //
-// Six are syntactic, per-statement checks:
+// Five are syntactic, per-statement checks:
 //
 //	noclock      wall-clock reads (time.Now/Since/Sleep/...) in the
 //	             clock-scoped packages (serve, detect, obs, fl, tee)
 //	seededrand   top-level math/rand functions anywhere under internal/
 //	maporder     map iteration feeding ordered output without a sort
-//	intoerr      discarded error results from *Into/*Raw kernel calls
 //	poolsafety   pool buffers acquired but never released, and Put calls
 //	             that would recycle shielded enclave memory
 //	parallelsum  captured-float += inside parallelFor closures

@@ -279,7 +279,8 @@ func (o *ShieldedOracle) GradCW(x *tensor.Tensor, y []int, x0 *tensor.Tensor, ka
 // perSampleFromLogits computes each sample's cross-entropy from clear
 // logits — always attacker-computable, shielded or not.
 func perSampleFromLogits(logits *tensor.Tensor, y []int) []float64 {
-	probs := tensor.SoftmaxRows(logits)
+	probs := tensor.New(logits.Shape()...)
+	tensor.SoftmaxRowsInto(probs, logits)
 	out := make([]float64, len(y))
 	for i, yi := range y {
 		p := float64(probs.At(i, yi))

@@ -68,22 +68,28 @@ func RolloutFromMaps(maps []*tensor.Tensor, heads int, dst *tensor.Tensor) error
 	if grid*grid != n {
 		return fmt.Errorf("attack: token count %d is not a square grid + class token", t)
 	}
-	layer := tensor.New(t, t)
+	// layer holds one block's head-summed map; r2 and next ping-pong the
+	// running product, so the layer loop allocates nothing.
+	layer, r2, next := tensor.New(t, t), tensor.New(t, t), tensor.New(t, t)
 	for i := 0; i < b; i++ {
-		// R = ∏_l [ Σ_heads (0.5·W_l + 0.5·I) ]
-		r2 := identity(t)
+		// R = ∏_l [ Σ_heads (0.5·W_l + 0.5·I) ], starting from I.
+		r2.Zero()
+		for j := 0; j < t; j++ {
+			r2.Data()[j*t+j] = 1
+		}
 		for _, m := range maps {
 			layer.Zero()
 			for hd := 0; hd < heads; hd++ {
-				att := m.Slice(i*heads + hd) // [T,T]
-				for j := 0; j < t*t; j++ {
-					layer.Data()[j] += 0.5 * att.Data()[j]
+				att := m.Data()[(i*heads+hd)*t*t:][:t*t] // [T,T]
+				for j, v := range att {
+					layer.Data()[j] += 0.5 * v
 				}
 			}
 			for j := 0; j < t; j++ {
 				layer.Data()[j*t+j] += 0.5 * float32(heads)
 			}
-			r2 = tensor.MatMul(layer, r2)
+			tensor.MatMulInto(next, layer, r2)
+			r2, next = next, r2
 		}
 		// Class-token row → patch importances, normalized to max 1.
 		row := r2.Row(0).Data()[1:]
@@ -117,14 +123,6 @@ func RolloutFromMaps(maps []*tensor.Tensor, heads int, dst *tensor.Tensor) error
 		}
 	}
 	return nil
-}
-
-func identity(n int) *tensor.Tensor {
-	id := tensor.New(n, n)
-	for i := 0; i < n; i++ {
-		id.Set(1, i, i)
-	}
-	return id
 }
 
 // SAGA is the Self-Attention Gradient Attack [44] against a ViT+CNN

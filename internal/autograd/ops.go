@@ -136,7 +136,6 @@ func (g *Graph) MatMul(a, b *Value) *Value {
 func (g *Graph) Linear(x, w, b *Value) *Value {
 	xs := x.Data.Shape()
 	in := xs[len(xs)-1]
-	rows := x.Data.Len() / in
 	outF := w.Data.Dim(0)
 	if w.Data.Dim(1) != in {
 		panic(fmt.Sprintf("autograd: Linear weight %v incompatible with input %v", w.Data.Shape(), xs))
@@ -146,30 +145,29 @@ func (g *Graph) Linear(x, w, b *Value) *Value {
 	if b != nil {
 		parents = append(parents, b)
 	}
-	// The raw kernels view x and the output as [rows, in]/[rows, outF]
-	// without materializing 2-D view tensors.
+	// The kernels take the matrix view of x and the output
+	// ([rows, in]/[rows, outF]), so no 2-D view tensors are built.
 	out := g.node("linear", g.alloc(outShape...), parents...)
-	tensor.MatMulTransBRaw(out.Data.Data(), x.Data.Data(), w.Data.Data(), rows, in, outF)
+	tensor.MatMulTransBInto(out.Data, x.Data, w.Data)
 	if b != nil {
-		tensor.AddRowVectorRaw(out.Data.Data(), rows, outF, b.Data.Data())
+		tensor.AddRowVectorIn(out.Data, b.Data)
 	}
 	out.backward = func() {
-		gy := out.Grad.Data()
 		if g.needs(x) {
 			t := g.alloc(xs...)
-			tensor.MatMulRaw(t.Data(), gy, w.Data.Data(), rows, outF, in)
+			tensor.MatMulInto(t, out.Grad, w.Data)
 			g.accum(x, t)
 			g.free(t)
 		}
 		if g.needs(w) {
 			t := g.allocZero(outF, in)
-			tensor.MatMulTransAAddRaw(t.Data(), gy, x.Data.Data(), outF, rows, in)
+			tensor.MatMulTransAAddInto(t, out.Grad, x.Data)
 			g.accum(w, t)
 			g.free(t)
 		}
 		if b != nil && g.needs(b) {
 			t := g.alloc(outF)
-			tensor.SumRowsRaw(t.Data(), gy, rows, outF)
+			tensor.SumRowsInto(t, out.Grad)
 			g.accum(b, t)
 			g.free(t)
 		}
@@ -300,7 +298,7 @@ func (g *Graph) SoftmaxLastDim(x *Value) *Value {
 	cols := xs[len(xs)-1]
 	rows := x.Data.Len() / cols
 	probs := g.alloc(xs...)
-	tensor.SoftmaxRowsRaw(probs.Data(), x.Data.Data(), rows, cols)
+	tensor.SoftmaxRowsInto(probs, x.Data)
 	out := g.node("softmax", probs, x)
 	out.backward = func() {
 		gx := g.alloc(xs...)

@@ -8,7 +8,6 @@ import (
 	"pelta/internal/dataset"
 	"pelta/internal/ensemble"
 	"pelta/internal/models"
-	"pelta/internal/tensor"
 )
 
 // ShieldSetting is one Table IV column: which ensemble members carry the
@@ -148,11 +147,4 @@ func (t *Table4) Render() string {
 	row("BiT", t.CleanBiT, t.RandomBiT, func(c Table4Column) float64 { return c.BiT })
 	row("Ensemble", t.CleanEns, t.RandomEns, func(c Table4Column) float64 { return c.Ensemble })
 	return sb.String()
-}
-
-// PerturbationEnergy returns the mean absolute pixel change of an attack
-// output, used by the Fig. 4 dumps.
-func PerturbationEnergy(x0, xadv *tensor.Tensor) float64 {
-	diff := tensor.Sub(xadv, x0)
-	return tensor.Mean(tensor.Abs(diff))
 }

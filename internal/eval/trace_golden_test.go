@@ -90,7 +90,9 @@ func (r *gateReplica) InputShape() []int { return []int{1, 2, 2} }
 func (r *gateReplica) Logits(x *tensor.Tensor) (*tensor.Tensor, error) {
 	r.serving.Add(1)
 	<-r.gate
-	return tensor.MatMul(x.Reshape(x.Dim(0), 4), r.w), nil
+	out := tensor.New(x.Dim(0), 3)
+	tensor.MatMulInto(out, x.Reshape(x.Dim(0), 4), r.w)
+	return out, nil
 }
 
 func waitCond(t *testing.T, cond func() bool) {

@@ -2,7 +2,7 @@ package lint
 
 import "testing"
 
-// BenchmarkCheckAll measures a full analyzer pass — all ten rules,
+// BenchmarkCheckAll measures a full analyzer pass — all nine rules,
 // summaries included — over every package in the module. CI runs it in
 // the kernel smoke cell so analyzer runtime regressions are visible next
 // to the kernel numbers. Loading (go list + type-check) is excluded: the

@@ -23,9 +23,6 @@
 //     the enclosing function sorts (the collect-keys-then-sort idiom).
 //     Rendered tables and JSON rows must not depend on Go's randomized map
 //     iteration order.
-//   - intoerr: error results of *Into/*Raw kernel calls must not be
-//     discarded (expression statement, go/defer, or `_` at the error
-//     position) in internal/tensor, autograd, nn and models.
 //   - poolsafety: a tensor.Pool.Get/GetZero/GetInts or NewGraphWithPool
 //     acquisition whose result never reaches Put/Release/Scrub and never
 //     escapes the function leaks pooled memory; Pool.Put of a
@@ -51,9 +48,8 @@
 //     shieldtaint with a reason. Scoped to internal/{core,tee,serve,fl,
 //     obs}; internal/attack stays out — the attacker-side oracle studies
 //     shielded outputs by design.
-//   - errpath: the path-sensitive upgrade of intoerr — an error value
-//     consumed (checked, returned, wrapped) on one CFG path but silently
-//     dropped on another. Unscoped.
+//   - errpath: an error value consumed (checked, returned, wrapped) on
+//     one CFG path but silently dropped on another. Unscoped.
 //   - lockorder: pairwise mutex acquisition-order consistency across
 //     internal/{serve,fl,detect}: if one path locks A then B and another
 //     locks B then A (directly or through a callee's transitive

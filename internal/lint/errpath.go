@@ -7,9 +7,9 @@ import (
 	"sort"
 )
 
-// checkErrPath is the path-sensitive upgrade of intoerr: it flags an
-// error value that is consumed (checked, returned, wrapped) on at least
-// one CFG path but silently dropped on another. The classic shape:
+// checkErrPath flags an error value that is consumed (checked, returned,
+// wrapped) on at least one CFG path but silently dropped on another. The
+// classic shape:
 //
 //	err := step()
 //	if fast {
@@ -17,8 +17,7 @@ import (
 //	}
 //	if err != nil { ... }
 //
-// intoerr only sees assignments to `_`; errpath follows the value
-// through branches, loops and switches.
+// errpath follows the value through branches, loops and switches.
 //
 // Facts are (object, definition site) pairs; an error-typed identifier
 // assigned from a call GENs a fact, any later read of the identifier
@@ -99,9 +98,9 @@ func errPathFunc(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 	var diags []Diagnostic
 	for _, fact := range facts {
 		if ec.reads[fact.obj] == 0 {
-			// Never consumed anywhere: the compiler (for :=) or intoerr-style
-			// review handles the fully-unused case; errpath is specifically
-			// about path asymmetry.
+			// Never consumed anywhere: the compiler (for :=) or review
+			// handles the fully-unused case; errpath is specifically about
+			// path asymmetry.
 			continue
 		}
 		diags = append(diags, diag(pkg, "errpath", fact.pos,

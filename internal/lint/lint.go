@@ -11,9 +11,8 @@ import (
 
 // Diagnostic is one rule violation at one source position.
 type Diagnostic struct {
-	// Rule names the violated rule (noclock, seededrand, maporder,
-	// intoerr, poolsafety, parallelsum) or "directive" for malformed
-	// //pelta:allow comments.
+	// Rule names the violated rule (one of RuleNames) or "directive" for
+	// malformed //pelta:allow comments.
 	Rule    string
 	Pos     token.Position
 	Message string
@@ -26,12 +25,12 @@ func (d Diagnostic) String() string {
 
 // RuleNames lists every rule in the order reports group them. "directive"
 // is not listed: it guards the opt-out mechanism itself and cannot be
-// disabled or suppressed. The first six are the syntactic (per-statement)
+// disabled or suppressed. The first five are the syntactic (per-statement)
 // rules; shieldtaint, errpath, lockorder and clockcomplete are the
 // flow-sensitive rules built on the CFG/dataflow engine (cfg.go,
 // dataflow.go, summary.go).
 var RuleNames = []string{
-	"noclock", "seededrand", "maporder", "intoerr", "poolsafety", "parallelsum",
+	"noclock", "seededrand", "maporder", "poolsafety", "parallelsum",
 	"shieldtaint", "errpath", "lockorder", "clockcomplete",
 }
 
@@ -48,9 +47,6 @@ var (
 	// DefaultRandScope bans ambient math/rand state everywhere under
 	// internal/: every experiment must thread a seeded *rand.Rand.
 	DefaultRandScope = []string{"internal"}
-	// DefaultIntoScope lists the packages whose *Into/*Raw kernel calls
-	// must not discard error results.
-	DefaultIntoScope = []string{"internal/tensor", "internal/autograd", "internal/nn", "internal/models"}
 	// DefaultTaintScope lists the packages shieldtaint audits: everywhere
 	// shielded buffers are produced (core, tee), recycled (via tensor
 	// pools used from core/fl), or could leak (serve, fl, obs).
@@ -66,15 +62,13 @@ var (
 type Config struct {
 	// Rules enables a subset by name; nil enables all rules.
 	Rules map[string]bool
-	// ClockScope/RandScope/IntoScope override the package scopes of the
-	// noclock, seededrand and intoerr rules (nil = defaults). TaintScope
-	// and LockScope do the same for shieldtaint and lockorder;
-	// clockcomplete shares ClockScope with noclock. The remaining rules
-	// (maporder, poolsafety, parallelsum, errpath) apply to every
-	// checked package.
+	// ClockScope/RandScope override the package scopes of the noclock and
+	// seededrand rules (nil = defaults). TaintScope and LockScope do the
+	// same for shieldtaint and lockorder; clockcomplete shares ClockScope
+	// with noclock. The remaining rules (maporder, poolsafety,
+	// parallelsum, errpath) apply to every checked package.
 	ClockScope []string
 	RandScope  []string
-	IntoScope  []string
 	TaintScope []string
 	LockScope  []string
 }
@@ -98,13 +92,6 @@ func (c *Config) randScope() []string {
 		return DefaultRandScope
 	}
 	return c.RandScope
-}
-
-func (c *Config) intoScope() []string {
-	if c == nil || c.IntoScope == nil {
-		return DefaultIntoScope
-	}
-	return c.IntoScope
 }
 
 func (c *Config) taintScope() []string {
@@ -168,9 +155,6 @@ func CheckAll(pkgs []*Package, cfg *Config) []Diagnostic {
 		}
 		if cfg.enabled("maporder") {
 			diags = append(diags, checkMapOrder(pkg)...)
-		}
-		if cfg.enabled("intoerr") && inScope(pkg.ImportPath, cfg.intoScope()) {
-			diags = append(diags, checkIntoErr(pkg)...)
 		}
 		if cfg.enabled("poolsafety") {
 			diags = append(diags, checkPoolSafety(pkg)...)
@@ -260,14 +244,3 @@ func calleeName(call *ast.CallExpr) string {
 
 // errorType is the universe error interface, for result-tuple matching.
 var errorType = types.Universe.Lookup("error").Type()
-
-// signatureOf returns the static signature of a call's callee, following
-// the Fun expression's type. Returns nil for conversions and builtins.
-func signatureOf(pkg *Package, call *ast.CallExpr) *types.Signature {
-	tv, ok := pkg.Info.Types[call.Fun]
-	if !ok {
-		return nil
-	}
-	sig, _ := tv.Type.(*types.Signature)
-	return sig
-}

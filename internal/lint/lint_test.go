@@ -15,7 +15,6 @@ var ruleCases = []struct {
 	{"noclock", &Config{Rules: map[string]bool{"noclock": true}, ClockScope: []string{"noclock"}}},
 	{"seededrand", &Config{Rules: map[string]bool{"seededrand": true}, RandScope: []string{"seededrand"}}},
 	{"maporder", &Config{Rules: map[string]bool{"maporder": true}}},
-	{"intoerr", &Config{Rules: map[string]bool{"intoerr": true}, IntoScope: []string{"intoerr"}}},
 	{"poolsafety", &Config{Rules: map[string]bool{"poolsafety": true}}},
 	{"parallelsum", &Config{Rules: map[string]bool{"parallelsum": true}}},
 	{"shieldtaint", &Config{Rules: map[string]bool{"shieldtaint": true}, TaintScope: []string{"shieldtaint"}}},
@@ -61,7 +60,6 @@ func TestRuleDisabled(t *testing.T) {
 				Rules:      map[string]bool{tc.rule: false},
 				ClockScope: tc.cfg.ClockScope,
 				RandScope:  tc.cfg.RandScope,
-				IntoScope:  tc.cfg.IntoScope,
 				TaintScope: tc.cfg.TaintScope,
 				LockScope:  tc.cfg.LockScope,
 			}
@@ -220,11 +218,6 @@ func TestDefaultScopes(t *testing.T) {
 	}
 	if !inScope("pelta/internal/tensor", DefaultRandScope) {
 		t.Error("rand scope must cover all of internal/")
-	}
-	for _, p := range []string{"internal/tensor", "internal/autograd", "internal/nn", "internal/models"} {
-		if !inScope("pelta/"+p, DefaultIntoScope) {
-			t.Errorf("into scope lost %s", p)
-		}
 	}
 	if inScope("pelta/cmd/peltaserve", DefaultClockScope) {
 		t.Error("cmd/ must stay outside the clock scope: process edges stamp wall time")

@@ -149,8 +149,9 @@ func (r *matmulReplica) InputShape() []int { return []int{1, 2, 2} }
 
 func (r *matmulReplica) Logits(x *tensor.Tensor) (*tensor.Tensor, error) {
 	b := x.Dim(0)
-	flat := x.Reshape(b, 4)
-	return tensor.MatMul(flat, r.w), nil
+	out := tensor.New(b, 3)
+	tensor.MatMulInto(out, x.Reshape(b, 4), r.w)
+	return out, nil
 }
 
 // TestTraceKernelAttribution pins the batch-level kernel time fields: on

@@ -59,7 +59,7 @@ func FusedAttentionInto(p *Pool, dst, q, k, v *Tensor, scale float32) {
 				for i := range s {
 					s[i] = scale * s[i]
 				}
-				SoftmaxRowsRaw(s, s, rb, T)
+				softmaxRows(s, s, rb, T)
 				matMulRows(og[r0*dh:], s, vg, 0, rb, T, dh)
 			}
 		}
@@ -102,7 +102,7 @@ func FusedAttentionBackwardInto(p *Pool, gq, gk, gv, q, k, v, gy *Tensor, scale 
 				for i := range P {
 					P[i] = scale * P[i]
 				}
-				SoftmaxRowsRaw(P, P, rb, T)
+				softmaxRows(P, P, rb, T)
 				// ∂/∂attn and ∂/∂v of the attn@v product.
 				dotRows(gA, gyBlk, vg, rb, dh, T)
 				transAOuter(gvg, P, gyBlk, T, rb, dh)

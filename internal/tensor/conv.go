@@ -8,22 +8,10 @@ func ConvOut(in, kernel, stride, pad int) int {
 	return (in+2*pad-kernel)/stride + 1
 }
 
-// Im2Col lowers one [C,H,W] image into a [outH*outW, C*kh*kw] matrix where
-// every row holds the receptive field of one output position. Zero padding
-// is applied implicitly.
-func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
-	if len(x.shape) != 3 {
-		panic(fmt.Sprintf("tensor: Im2Col requires [C,H,W], got %v", x.shape))
-	}
-	c, h, w := x.shape[0], x.shape[1], x.shape[2]
-	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
-	cols := New(oh*ow, c*kh*kw)
-	Im2ColInto(cols, x, kh, kw, stride, pad)
-	return cols
-}
-
-// Im2ColInto lowers x [C,H,W] into the pre-allocated cols matrix
-// [outH*outW, C*kh*kw], overwriting every element.
+// Im2ColInto lowers one [C,H,W] image into the pre-allocated cols matrix
+// [outH*outW, C*kh*kw], overwriting every element: each row holds the
+// receptive field of one output position. Zero padding is applied
+// implicitly.
 func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
 	if len(x.shape) != 3 {
 		panic(fmt.Sprintf("tensor: Im2ColInto requires [C,H,W], got %v", x.shape))
@@ -72,18 +60,11 @@ func im2colRows(cols, x []float32, c, h, w, kh, kw, stride, pad, y0, y1 int) {
 	}
 }
 
-// Col2Im scatters a [outH*outW, C*kh*kw] matrix back onto a [C,H,W] image,
-// accumulating overlapping contributions. It is the adjoint of Im2Col and is
-// used in convolution backward passes and transposed convolutions.
-func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
-	img := New(c, h, w)
-	Col2ImInto(img, cols, kh, kw, stride, pad)
-	return img
-}
-
-// Col2ImInto scatters cols back onto the pre-allocated img [C,H,W],
-// overwriting it (img is zeroed first, then overlapping contributions are
-// accumulated).
+// Col2ImInto scatters a [outH*outW, C*kh*kw] matrix back onto the
+// pre-allocated img [C,H,W], overwriting it (img is zeroed first, then
+// overlapping contributions are accumulated). It is the adjoint of
+// Im2ColInto and is used in convolution backward passes and transposed
+// convolutions.
 func Col2ImInto(img, cols *Tensor, kh, kw, stride, pad int) {
 	if len(img.shape) != 3 {
 		panic(fmt.Sprintf("tensor: Col2ImInto requires a [C,H,W] destination, got %v", img.shape))
@@ -176,18 +157,6 @@ func col2imRowMajor(img, cols []float32, c, h, w, kh, kw, stride, pad int) {
 	}
 }
 
-// Conv2d performs a batched 2-D convolution.
-// x is [B,C,H,W], weight is [outC, C, kh, kw], bias is [outC] or nil.
-// Returns [B, outC, outH, outW].
-func Conv2d(x, weight, bias *Tensor, stride, pad int) *Tensor {
-	b := x.shape[0]
-	oc, kh, kw := weight.shape[0], weight.shape[2], weight.shape[3]
-	oh, ow := ConvOut(x.shape[2], kh, stride, pad), ConvOut(x.shape[3], kw, stride, pad)
-	out := New(b, oc, oh, ow)
-	Conv2dInto(nil, out, x, weight, bias, stride, pad)
-	return out
-}
-
 // scratch borrows a tensor from p, or allocates fresh when p is nil.
 func scratch(p *Pool, shape ...int) *Tensor {
 	if p == nil {
@@ -205,7 +174,8 @@ func unscratch(p *Pool, ts ...*Tensor) {
 	}
 }
 
-// Conv2dInto performs a batched 2-D convolution into dst [B,outC,oh,ow],
+// Conv2dInto performs a batched 2-D convolution of x [B,C,H,W] with weight
+// [outC,C,kh,kw] and bias [outC] (or nil) into dst [B,outC,outH,outW],
 // overwriting it. Per-sample im2col scratch is borrowed from p when non-nil,
 // making the steady-state kernel allocation-free.
 func Conv2dInto(p *Pool, dst, x, weight, bias *Tensor, stride, pad int) {
@@ -234,7 +204,7 @@ func Conv2dInto(p *Pool, dst, x, weight, bias *Tensor, stride, pad int) {
 		prod := scratch(p, oh*ow, oc)
 		for i := i0; i < i1; i++ {
 			im2colRaw(cols.data, x.data[i*c*h*w:(i+1)*c*h*w], c, h, w, kh, kw, stride, pad)
-			matMulTransBRaw(prod.data, cols.data, wmat.data, oh*ow, c*kh*kw, oc) // [oh*ow, oc]
+			matMulTransB(prod.data, cols.data, wmat.data, oh*ow, c*kh*kw, oc) // [oh*ow, oc]
 			transposeScatterBias(dst.data[i*oc*oh*ow:(i+1)*oc*oh*ow], prod.data, biasData, oc, oh*ow)
 		}
 		unscratch(p, cols, prod)
@@ -275,27 +245,13 @@ func transposeScatterBias(dst, prod, bias []float32, oc, np int) {
 	}
 }
 
-// Conv2dBackward computes the gradients of a Conv2d given the upstream
-// gradient gy [B,outC,outH,outW]. It returns (gx, gw, gb); gb is nil when
-// bias was nil.
-func Conv2dBackward(x, weight *Tensor, hasBias bool, gy *Tensor, stride, pad int) (gx, gw, gb *Tensor) {
-	b, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oc, kh, kw := weight.shape[0], weight.shape[2], weight.shape[3]
-	gx = New(b, c, h, w)
-	gw = New(oc, c, kh, kw)
-	if hasBias {
-		gb = New(oc)
-	}
-	Conv2dBackwardInto(nil, gx, gw, gb, x, weight, gy, stride, pad)
-	return gx, gw, gb
-}
-
-// Conv2dBackwardInto computes convolution gradients into pre-allocated
-// gx [B,C,H,W] and gw [O,C,kh,kw] (both overwritten) and accumulates the
-// bias gradient into gb when non-nil (gb must be pre-zeroed by the caller or
-// freshly borrowed with GetZero). gw may be nil to skip the weight gradient
-// entirely (attack oracles differentiate w.r.t. the input only). Scratch is
-// borrowed from p when non-nil.
+// Conv2dBackwardInto computes the gradients of Conv2dInto given the upstream
+// gradient gy [B,outC,outH,outW], into pre-allocated gx [B,C,H,W] and
+// gw [O,C,kh,kw] (both overwritten), and accumulates the bias gradient into
+// gb when non-nil (gb must be pre-zeroed by the caller or freshly borrowed
+// with GetZero). gw may be nil to skip the weight gradient entirely (attack
+// oracles differentiate w.r.t. the input only). Scratch is borrowed from p
+// when non-nil.
 func Conv2dBackwardInto(p *Pool, gx, gw, gb, x, weight, gy *Tensor, stride, pad int) {
 	b, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oc, kh, kw := weight.shape[0], weight.shape[2], weight.shape[3]
@@ -375,34 +331,17 @@ func Conv2dBackwardInto(p *Pool, gx, gw, gb, x, weight, gy *Tensor, stride, pad 
 	kernelEnd(hk, t0, KernelConv)
 }
 
-// ConvTranspose2d applies a transposed convolution (fractionally-strided
-// convolution) mapping [B,C,H,W] with kernel [C, outC, kh, kw] to
-// [B, outC, outH, outW] where outH = (H-1)*stride - 2*pad + kh. This is the
+// ConvTranspose2dInto applies a transposed (fractionally-strided)
+// convolution mapping x [B,C,H,W] with kernel [C,outC,kh,kw] into the
+// pre-allocated dst [B,outC,outH,outW], outH = (H-1)*stride - 2*pad + kh,
+// overwriting it, with scratch borrowed from p when non-nil. This is the
 // geometric upsampling used by the BPDA-style attack on the adjoint (§V-B).
-func ConvTranspose2d(x, weight *Tensor, stride, pad int) *Tensor {
-	if len(x.shape) != 4 || len(weight.shape) != 4 {
-		panic(fmt.Sprintf("tensor: ConvTranspose2d requires x [B,C,H,W] and weight [C,O,kh,kw], got %v and %v", x.shape, weight.shape))
-	}
-	h, w := x.shape[2], x.shape[3]
-	oc, kh, kw := weight.shape[1], weight.shape[2], weight.shape[3]
-	oh := (h-1)*stride - 2*pad + kh
-	ow := (w-1)*stride - 2*pad + kw
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: ConvTranspose2d output would be empty (%dx%d)", oh, ow))
-	}
-	out := New(x.shape[0], oc, oh, ow)
-	ConvTranspose2dInto(nil, out, x, weight, stride, pad)
-	return out
-}
-
-// ConvTranspose2dInto performs the transposed convolution into the
-// pre-allocated dst [B,outC,outH,outW], overwriting it, with scratch
-// borrowed from p when non-nil. Instead of the naive scalar scatter it runs
-// the adjoint of the im2col convolution: per sample, lift x [C,h,w] to
-// [h*w, C], multiply by the [C, outC*kh*kw] kernel matrix through the
-// blocked matmul, and Col2Im-scatter the result onto the output grid. The
-// batch is sharded over the worker pool; each sample stays serial, so
-// results are bit-identical for every worker count.
+// Instead of the naive scalar scatter it runs the adjoint of the im2col
+// convolution: per sample, lift x [C,h,w] to [h*w, C], multiply by the
+// [C, outC*kh*kw] kernel matrix through the blocked matmul, and
+// Col2Im-scatter the result onto the output grid. The batch is sharded over
+// the worker pool; each sample stays serial, so results are bit-identical
+// for every worker count.
 func ConvTranspose2dInto(p *Pool, dst, x, weight *Tensor, stride, pad int) {
 	if len(x.shape) != 4 || len(weight.shape) != 4 {
 		panic(fmt.Sprintf("tensor: ConvTranspose2dInto requires x [B,C,H,W] and weight [C,O,kh,kw], got %v and %v", x.shape, weight.shape))
@@ -414,6 +353,9 @@ func ConvTranspose2dInto(p *Pool, dst, x, weight *Tensor, stride, pad int) {
 	}
 	oh := (h-1)*stride - 2*pad + kh
 	ow := (w-1)*stride - 2*pad + kw
+	if oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("tensor: ConvTranspose2dInto output would be empty (%dx%d)", oh, ow))
+	}
 	if len(dst.data) != b*oc*oh*ow {
 		panic(fmt.Sprintf("tensor: ConvTranspose2dInto destination %v incompatible", dst.shape))
 	}
@@ -437,30 +379,11 @@ func ConvTranspose2dInto(p *Pool, dst, x, weight *Tensor, stride, pad int) {
 	kernelEnd(hk, t0, KernelConv)
 }
 
-// MaxPool2d applies max pooling with square window k and stride s over a
-// [B,C,H,W] tensor. It returns the pooled tensor and the flat argmax index
-// (within each sample's [C,H,W] layout) of every output element, used by the
-// backward pass.
-func MaxPool2d(x *Tensor, k, s int) (*Tensor, []int) {
-	b, c := x.shape[0], x.shape[1]
-	oh, ow := ConvOut(x.shape[2], k, s, 0), ConvOut(x.shape[3], k, s, 0)
-	out := New(b, c, oh, ow)
-	return out, MaxPool2dInto(out, x, k, s)
-}
-
-// MaxPool2dInto max-pools x into the pre-allocated out [B,C,oh,ow],
-// overwriting it, and returns the per-element argmax indices for the
-// backward pass.
-func MaxPool2dInto(out, x *Tensor, k, s int) []int {
-	b, c := x.shape[0], x.shape[1]
-	oh, ow := ConvOut(x.shape[2], k, s, 0), ConvOut(x.shape[3], k, s, 0)
-	idx := make([]int, b*c*oh*ow)
-	MaxPool2dIdxInto(out, x, k, s, idx)
-	return idx
-}
-
-// MaxPool2dIdxInto is MaxPool2dInto with a caller-provided (e.g. pooled)
-// argmax buffer of length B*C*oh*ow.
+// MaxPool2dIdxInto max-pools x [B,C,H,W] with square window k and stride s
+// into the pre-allocated out [B,C,oh,ow], overwriting it, and stores in the
+// caller-provided (e.g. pooled) idx, of length B*C*oh*ow, the flat argmax
+// index of every output element within its sample's [C,H,W] layout, used by
+// the backward pass.
 func MaxPool2dIdxInto(out, x *Tensor, k, s int, idx []int) {
 	b, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh, ow := ConvOut(h, k, s, 0), ConvOut(w, k, s, 0)
@@ -501,13 +424,6 @@ func MaxPool2dIdxInto(out, x *Tensor, k, s int, idx []int) {
 	}
 }
 
-// AvgPool2dGlobal averages each channel plane of [B,C,H,W] to [B,C].
-func AvgPool2dGlobal(x *Tensor) *Tensor {
-	out := New(x.shape[0], x.shape[1])
-	AvgPool2dGlobalInto(out, x)
-	return out
-}
-
 // AvgPool2dGlobalInto averages each channel plane of x [B,C,H,W] into the
 // pre-allocated out [B,C], overwriting it.
 func AvgPool2dGlobalInto(out, x *Tensor) {
@@ -529,14 +445,8 @@ func AvgPool2dGlobalInto(out, x *Tensor) {
 	}
 }
 
-// Pad2d zero-pads the spatial dimensions of [B,C,H,W] by p on every side.
-func Pad2d(x *Tensor, p int) *Tensor {
-	out := New(x.shape[0], x.shape[1], x.shape[2]+2*p, x.shape[3]+2*p)
-	Pad2dInto(out, x, p)
-	return out
-}
-
-// Pad2dInto copies x into the interior of the pre-allocated out
+// Pad2dInto zero-pads the spatial dimensions of x [B,C,H,W] by p on every
+// side: it copies x into the interior of the pre-allocated out
 // [B,C,H+2p,W+2p]. The padding border is NOT written: out must arrive
 // zeroed (freshly allocated or Pool.GetZero).
 func Pad2dInto(out, x *Tensor, p int) {
@@ -558,17 +468,8 @@ func Pad2dInto(out, x *Tensor, p int) {
 	}
 }
 
-// Unpad2d removes p rows/cols from every side of the spatial dims, the
-// adjoint of Pad2d.
-func Unpad2d(x *Tensor, p int) *Tensor {
-	b, c, oh, ow := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	out := New(b, c, oh-2*p, ow-2*p)
-	Unpad2dInto(out, x, p)
-	return out
-}
-
 // Unpad2dInto crops the p-wide border of x [B,C,H,W] into the pre-allocated
-// out [B,C,H-2p,W-2p], overwriting every element.
+// out [B,C,H-2p,W-2p], overwriting every element; the adjoint of Pad2dInto.
 func Unpad2dInto(out, x *Tensor, p int) {
 	b, c, oh, ow := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	h, w := oh-2*p, ow-2*p

@@ -25,7 +25,7 @@ func TestConvOut(t *testing.T) {
 func TestIm2ColIdentityKernel(t *testing.T) {
 	// 1x1 kernel, stride 1, no pad: rows are just the pixels.
 	x := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
-	cols := Im2Col(x, 1, 1, 1, 0)
+	cols := im2col(x, 1, 1, 1, 0)
 	if cols.Dim(0) != 4 || cols.Dim(1) != 1 {
 		t.Fatalf("cols shape = %v", cols.Shape())
 	}
@@ -38,7 +38,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 
 func TestIm2ColPadding(t *testing.T) {
 	x := Ones(1, 2, 2)
-	cols := Im2Col(x, 3, 3, 1, 1) // 2x2 outputs, 9 taps each
+	cols := im2col(x, 3, 3, 1, 1) // 2x2 outputs, 9 taps each
 	// Center output (0,0) window covers pad row/col: 4 ones, 5 zeros.
 	row := cols.Row(0).Data()
 	var n float32
@@ -58,8 +58,10 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 	x := rng.Normal(0, 1, c, h, w)
 	oh, ow := ConvOut(h, kh, s, p), ConvOut(w, kw, s, p)
 	y := rng.Normal(0, 1, oh*ow, c*kh*kw)
-	lhs := Dot(Im2Col(x, kh, kw, s, p), y)
-	rhs := Dot(x, Col2Im(y, c, h, w, kh, kw, s, p))
+	lhs := Dot(im2col(x, kh, kw, s, p), y)
+	img := New(c, h, w)
+	Col2ImInto(img, y, kh, kw, s, p)
+	rhs := Dot(x, img)
 	if math.Abs(lhs-rhs) > 1e-3 {
 		t.Fatalf("adjoint mismatch: %v vs %v", lhs, rhs)
 	}
@@ -69,7 +71,7 @@ func TestConv2dKnownValues(t *testing.T) {
 	// Single 2x2 input, 2x2 kernel of ones, no pad: output = sum of input.
 	x := FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
 	w := Ones(1, 1, 2, 2)
-	y := Conv2d(x, w, nil, 1, 0)
+	y := conv2d(x, w, nil, 1, 0)
 	if y.Len() != 1 || y.Data()[0] != 10 {
 		t.Fatalf("conv = %v", y.Data())
 	}
@@ -79,7 +81,7 @@ func TestConv2dBias(t *testing.T) {
 	x := Ones(1, 1, 2, 2)
 	w := Ones(2, 1, 1, 1)
 	b := FromSlice([]float32{10, -10}, 2)
-	y := Conv2d(x, w, b, 1, 0)
+	y := conv2d(x, w, b, 1, 0)
 	if y.At(0, 0, 0, 0) != 11 || y.At(0, 1, 0, 0) != -9 {
 		t.Fatalf("conv+bias = %v", y.Data())
 	}
@@ -90,11 +92,11 @@ func TestConv2dBatchConsistency(t *testing.T) {
 	x := rng.Normal(0, 1, 3, 2, 5, 5)
 	w := rng.Normal(0, 1, 4, 2, 3, 3)
 	b := rng.Normal(0, 1, 4)
-	y := Conv2d(x, w, b, 1, 1)
+	y := conv2d(x, w, b, 1, 1)
 	// Per-sample conv must equal the batched result.
 	for i := 0; i < 3; i++ {
 		xi := x.Slice(i).Reshape(1, 2, 5, 5)
-		yi := Conv2d(xi, w, b, 1, 1)
+		yi := conv2d(xi, w, b, 1, 1)
 		if !yi.Reshape(4, 5, 5).AllClose(y.Slice(i), 1e-5) {
 			t.Fatalf("sample %d disagrees with batch", i)
 		}
@@ -108,12 +110,13 @@ func TestConv2dBackwardNumeric(t *testing.T) {
 	w := rng.Normal(0, 0.5, 3, 2, 3, 3)
 	b := rng.Normal(0, 0.5, 3)
 	loss := func(x, w, b *Tensor) float64 {
-		y := Conv2d(x, w, b, 1, 1)
+		y := conv2d(x, w, b, 1, 1)
 		// Quadratic loss 0.5*||y||² so dL/dy = y.
 		return 0.5 * Dot(y, y)
 	}
-	y := Conv2d(x, w, b, 1, 1)
-	gx, gw, gb := Conv2dBackward(x, w, true, y, 1, 1)
+	y := conv2d(x, w, b, 1, 1)
+	gx, gw, gb := New(x.Shape()...), New(w.Shape()...), New(3)
+	Conv2dBackwardInto(nil, gx, gw, gb, x, w, y, 1, 1)
 
 	const eps = 1e-2
 	checkGrad := func(name string, param, grad *Tensor, idxs []int) {
@@ -140,7 +143,7 @@ func TestConvTranspose2dUpsamples(t *testing.T) {
 	// stride-2 transposed conv on [1,1,2,2] with 2x2 kernel -> [1,1,4,4].
 	x := FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
 	w := Ones(1, 1, 2, 2)
-	y := ConvTranspose2d(x, w, 2, 0)
+	y := convTranspose2d(x, w, 2, 0)
 	if y.Dim(2) != 4 || y.Dim(3) != 4 {
 		t.Fatalf("shape = %v", y.Shape())
 	}
@@ -157,9 +160,9 @@ func TestConvTransposeShapeInverse(t *testing.T) {
 	rng := NewRNG(9)
 	x := rng.Normal(0, 1, 2, 3, 8, 8)
 	w := rng.Normal(0, 1, 5, 3, 4, 4)
-	y := Conv2d(x, w, nil, 4, 0) // [2,5,2,2]
+	y := conv2d(x, w, nil, 4, 0) // [2,5,2,2]
 	wt := rng.Normal(0, 1, 5, 3, 4, 4)
-	up := ConvTranspose2d(y, wt, 4, 0)
+	up := convTranspose2d(y, wt, 4, 0)
 	if up.Dim(1) != 3 || up.Dim(2) != 8 || up.Dim(3) != 8 {
 		t.Fatalf("upsampled shape = %v, want [2 3 8 8]", up.Shape())
 	}
@@ -172,7 +175,8 @@ func TestMaxPool2d(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	y, idx := MaxPool2d(x, 2, 2)
+	y, idx := New(1, 1, 2, 2), make([]int, 4)
+	MaxPool2dIdxInto(y, x, 2, 2, idx)
 	want := []float32{6, 8, 14, 16}
 	for i, v := range want {
 		if y.Data()[i] != v {
@@ -186,7 +190,8 @@ func TestMaxPool2d(t *testing.T) {
 
 func TestAvgPool2dGlobal(t *testing.T) {
 	x := FromSlice([]float32{1, 3, 5, 7, 2, 2, 2, 2}, 1, 2, 2, 2)
-	y := AvgPool2dGlobal(x)
+	y := New(1, 2)
+	AvgPool2dGlobalInto(y, x)
 	if y.At(0, 0) != 4 || y.At(0, 1) != 2 {
 		t.Fatalf("avg = %v", y.Data())
 	}
@@ -195,11 +200,13 @@ func TestAvgPool2dGlobal(t *testing.T) {
 func TestPadUnpadRoundTrip(t *testing.T) {
 	rng := NewRNG(4)
 	x := rng.Normal(0, 1, 2, 3, 5, 5)
-	p := Pad2d(x, 2)
+	p := New(2, 3, 9, 9)
+	Pad2dInto(p, x, 2)
 	if p.Dim(2) != 9 || p.Dim(3) != 9 {
 		t.Fatalf("pad shape = %v", p.Shape())
 	}
-	back := Unpad2d(p, 2)
+	back := New(x.Shape()...)
+	Unpad2dInto(back, p, 2)
 	if !back.AllClose(x, 0) {
 		t.Fatal("Unpad(Pad(x)) != x")
 	}

@@ -4,9 +4,24 @@
 // the attack suite.
 //
 // Tensors are row-major and contiguous. The package is deliberately free of
-// any autodiff logic: it only moves numbers around. All operations that
-// allocate return fresh tensors; operations suffixed In or prefixed with a
-// destination receiver mutate in place.
+// any autodiff logic: it only moves numbers around.
+//
+// # One kernel family
+//
+// Every kernel is destination-passing: a function suffixed Into writes its
+// result into a caller-provided dst (heap-allocated with New or borrowed
+// from a Pool) and one suffixed In mutates its first operand in place;
+// neither allocates a result. Only the constructors (New, FromSlice, Full,
+// Ones, RNG.Normal/Uniform, Pool.Get*), the view/clone methods and the two
+// cold reporting helpers Sub and Abs return a fresh *Tensor.
+//
+// The 2-D kernels (MatMulInto, MatMulTransBInto, MatMulTransAInto,
+// MatMulTransAAddInto, SoftmaxRowsInto, SumRowsInto, AddRowVectorIn) take
+// the matrix view of an operand: any rank >= 2, the last dimension is the
+// column count and all leading dimensions fold into rows, so a [B,T,D]
+// activation runs through them as the [B*T, D] matrix without a reshaped
+// header being built. Rank < 2, an inner-dimension mismatch and a
+// destination of the wrong length still panic.
 //
 // # Parallelism
 //

@@ -51,7 +51,7 @@ func TestKernelHookObservesEntries(t *testing.T) {
 	a, b := New(4, 6), New(6, 5)
 	a.Fill(0.5)
 	b.Fill(0.25)
-	MatMul(a, b)
+	matMul(a, b)
 	if got := h.count(KernelMatMul); got != 1 {
 		t.Fatalf("MatMul observed %d matmul spans, want 1", got)
 	}
@@ -60,7 +60,7 @@ func TestKernelHookObservesEntries(t *testing.T) {
 	w := New(4, 3, 3, 3)
 	x.Fill(0.1)
 	w.Fill(0.2)
-	Conv2d(x, w, nil, 1, 1)
+	conv2d(x, w, nil, 1, 1)
 	if got := h.count(KernelConv); got != 1 {
 		t.Fatalf("Conv2d observed %d conv spans, want 1", got)
 	}
@@ -100,7 +100,7 @@ func TestKernelHookBackwardEntries(t *testing.T) {
 	w.Fill(0.2)
 	gy := New(2, 4, 8, 8)
 	gy.Fill(0.05)
-	Conv2dBackward(x, w, true, gy, 1, 1)
+	Conv2dBackwardInto(nil, New(x.Shape()...), New(w.Shape()...), New(4), x, w, gy, 1, 1)
 	if got := h.count(KernelConv); got != 1 {
 		t.Fatalf("Conv2dBackward observed %d conv spans, want 1", got)
 	}
@@ -128,7 +128,7 @@ func TestKernelHookDisabledIsFree(t *testing.T) {
 	a, b := New(2, 2), New(2, 2)
 	a.Fill(1)
 	b.Fill(1)
-	MatMul(a, b) // must not panic dereferencing a nil hook
+	matMul(a, b) // must not panic dereferencing a nil hook
 }
 
 // TestSetKernelHookRejectsPartial pins the half-installed-hook guard.

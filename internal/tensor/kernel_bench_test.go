@@ -76,11 +76,11 @@ func BenchmarkConvTranspose2d(b *testing.B) {
 	rng := NewRNG(45)
 	x := rng.Uniform(-1, 1, 8, 16, 16, 16)
 	w := rng.Uniform(-1, 1, 16, 3, 4, 4) // [C,O,kh,kw]
+	out := New(8, 3, 34, 34)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := ConvTranspose2d(x, w, 2, 0)
-		_ = out
+		ConvTranspose2dInto(nil, out, x, w, 2, 0)
 	}
 }
 
@@ -139,7 +139,7 @@ func BenchmarkAttentionMaterializing(b *testing.B) {
 		}
 		BMMInto(scores, q, kT)
 		ScaleInto(scores, scores, scale)
-		SoftmaxRowsRaw(scores.Data(), scores.Data(), g*t, t)
+		SoftmaxRowsInto(scores, scores)
 		BMMInto(dst, scores, v)
 	}
 }

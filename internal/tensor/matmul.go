@@ -5,16 +5,10 @@ import (
 	"sync"
 )
 
-// MatMul returns the matrix product a@b for 2-D tensors [m,k]x[k,n] -> [m,n].
-// Large products are parallelized across rows.
-func MatMul(a, b *Tensor) *Tensor {
-	m, _, n := checkMatMul(a, b, false, false)
-	out := New(m, n)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto stores a@b into dst [m,n]. dst must not alias the operands.
+// MatMulInto stores a@b into dst for a [m,k] and b [k,n] -> [m,n]. Like every
+// 2-D kernel it takes the matrix view of its operands (rank >= 2, leading
+// dimensions folded into rows); dst only needs m*n elements and must not
+// alias the operands. Large products are parallelized across rows.
 func MatMulInto(dst, a, b *Tensor) {
 	m, k, n := checkMatMul(a, b, false, false)
 	checkMatMulDst("MatMulInto", dst, m, n)
@@ -23,20 +17,15 @@ func MatMulInto(dst, a, b *Tensor) {
 	kernelEnd(h, t0, KernelMatMul)
 }
 
-// MatMulTransB returns a@bᵀ for a [m,k] and b [n,k] -> [m,n]. Used by
-// backward passes to avoid materializing transposes.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, _, n := checkMatMul(a, b, false, true)
-	out := New(m, n)
-	MatMulTransBInto(out, a, b)
-	return out
-}
-
-// MatMulTransBInto stores a@bᵀ into dst. dst must not alias the operands.
+// MatMulTransBInto stores a@bᵀ into dst for a [m,k] and b [n,k] -> [m,n],
+// sparing backward passes a materialized transpose. dst must not alias the
+// operands.
 func MatMulTransBInto(dst, a, b *Tensor) {
 	m, k, n := checkMatMul(a, b, false, true)
 	checkMatMulDst("MatMulTransBInto", dst, m, n)
-	MatMulTransBRaw(dst.data, a.data, b.data, m, k, n)
+	h, t0 := kernelStart()
+	matMulTransB(dst.data, a.data, b.data, m, k, n)
+	kernelEnd(h, t0, KernelMatMul)
 }
 
 // dotTileElems bounds (in float32 elements, ~32KB) the window of B rows the
@@ -98,35 +87,19 @@ func dotRowsSeg(out, a, b []float32, m, k, n, j0, j1 int) {
 	}
 }
 
-// MatMulTransA returns aᵀ@b for a [k,m] and b [k,n] -> [m,n].
-func MatMulTransA(a, b *Tensor) *Tensor {
-	m, _, n := checkMatMul(a, b, true, false)
-	out := New(m, n)
-	matMulTransAInto(out, a, b, false)
-	return out
+// MatMulTransAInto stores aᵀ@b into dst for a [k,m] and b [k,n] -> [m,n],
+// overwriting it. dst must not alias the operands.
+func MatMulTransAInto(dst, a, b *Tensor) {
+	dst.Zero()
+	MatMulTransAAddInto(dst, a, b)
 }
 
-// MatMulTransAInto stores aᵀ@b into dst, overwriting it. dst must not alias
-// the operands.
-func MatMulTransAInto(dst, a, b *Tensor) { matMulTransAInto(dst, a, b, true) }
-
 // MatMulTransAAddInto accumulates aᵀ@b into dst (dst += aᵀ@b), the fused
-// form used by convolution weight gradients.
+// form used by weight gradients.
 func MatMulTransAAddInto(dst, a, b *Tensor) {
 	m, k, n := checkMatMul(a, b, true, false)
 	checkMatMulDst("MatMulTransAAddInto", dst, m, n)
 	h, t0 := kernelStart()
-	transAOuter(dst.data, a.data, b.data, m, k, n)
-	kernelEnd(h, t0, KernelMatMul)
-}
-
-func matMulTransAInto(dst, a, b *Tensor, zero bool) {
-	m, k, n := checkMatMul(a, b, true, false)
-	checkMatMulDst("MatMulTransAInto", dst, m, n)
-	h, t0 := kernelStart()
-	if zero {
-		dst.Zero()
-	}
 	transAOuter(dst.data, a.data, b.data, m, k, n)
 	kernelEnd(h, t0, KernelMatMul)
 }
@@ -225,7 +198,7 @@ func BMMTransBInto(dst, a, b *Tensor) {
 	G, m, k, n := checkBMM("BMMTransBInto", dst, a, b, false, true)
 	h, t0 := kernelStart()
 	if G == 1 {
-		matMulTransBRaw(dst.data, a.data, b.data, m, k, n)
+		matMulTransB(dst.data, a.data, b.data, m, k, n)
 	} else {
 		parallelFor(G, G*m*k*n, func(g0, g1 int) {
 			for i := g0; i < g1; i++ {
@@ -254,15 +227,14 @@ func BMMTransAAddInto(dst, a, b *Tensor) {
 	kernelEnd(h, t0, KernelMatMul)
 }
 
+// checkMatMul returns the product dimensions of the operands' matrix views
+// and panics on rank < 2 or an inner-dimension mismatch.
 func checkMatMul(a, b *Tensor, transA, transB bool) (m, k, n int) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMul requires 2-D operands, got %v and %v", a.shape, b.shape))
-	}
-	am, ak := a.shape[0], a.shape[1]
+	am, ak := matView("MatMul", a)
 	if transA {
 		am, ak = ak, am
 	}
-	bk, bn := b.shape[0], b.shape[1]
+	bk, bn := matView("MatMul", b)
 	if transB {
 		bk, bn = bn, bk
 	}
@@ -415,26 +387,10 @@ func saxpy2(or, b1, b2 []float32, a1, a2 float32) {
 	}
 }
 
-// MatMulRaw computes out = a@b on raw row-major buffers: a [m,k], b [k,n],
-// out [m,n] (overwritten). The raw kernels let graph ops on higher-rank
-// tensors skip the 2-D view tensors entirely.
-func MatMulRaw(out, a, b []float32, m, k, n int) {
-	h, t0 := kernelStart()
-	matMulInto(out, a, b, m, k, n)
-	kernelEnd(h, t0, KernelMatMul)
-}
-
-// MatMulTransBRaw computes out = a@bᵀ on raw buffers: a [m,k], b [n,k],
-// out [m,n] (overwritten).
-func MatMulTransBRaw(out, a, b []float32, m, k, n int) {
-	h, t0 := kernelStart()
-	matMulTransBRaw(out, a, b, m, k, n)
-	kernelEnd(h, t0, KernelMatMul)
-}
-
-// matMulTransBRaw is the unhooked a@bᵀ kernel, shared with the conv and
-// batched paths so nested uses are not double-counted by the hook.
-func matMulTransBRaw(out, a, b []float32, m, k, n int) {
+// matMulTransB is the unhooked a@bᵀ kernel on raw buffers (a [m,k], b [n,k],
+// out [m,n] overwritten), shared with the conv and batched paths so nested
+// uses are not double-counted by the hook.
+func matMulTransB(out, a, b []float32, m, k, n int) {
 	if !shouldParallel(m, m*k*n) {
 		dotRows(out, a, b, m, k, n)
 		return
@@ -442,12 +398,4 @@ func matMulTransBRaw(out, a, b []float32, m, k, n int) {
 	parallelRows(m, m*k*n, func(r0, r1 int) {
 		dotRows(out[r0*n:r1*n], a[r0*k:r1*k], b, r1-r0, k, n)
 	})
-}
-
-// MatMulTransAAddRaw accumulates out += aᵀ@b on raw buffers: a [k,m],
-// b [k,n], out [m,n] (must hold the accumulation base, typically zeros).
-func MatMulTransAAddRaw(out, a, b []float32, m, k, n int) {
-	h, t0 := kernelStart()
-	transAOuter(out, a, b, m, k, n)
-	kernelEnd(h, t0, KernelMatMul)
 }

@@ -5,30 +5,6 @@ import (
 	"math"
 )
 
-// binOp applies f elementwise over equal-shaped tensors into a fresh tensor.
-func binOp(a, b *Tensor, f func(x, y float32) float32) *Tensor {
-	if len(a.data) != len(b.data) {
-		panic(fmt.Sprintf("tensor: elementwise op on mismatched shapes %v vs %v", a.shape, b.shape))
-	}
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = f(a.data[i], b.data[i])
-	}
-	return out
-}
-
-// Add returns a + b elementwise.
-func Add(a, b *Tensor) *Tensor { return binOp(a, b, func(x, y float32) float32 { return x + y }) }
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor { return binOp(a, b, func(x, y float32) float32 { return x - y }) }
-
-// Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor { return binOp(a, b, func(x, y float32) float32 { return x * y }) }
-
-// Div returns a / b elementwise.
-func Div(a, b *Tensor) *Tensor { return binOp(a, b, func(x, y float32) float32 { return x / y }) }
-
 // AddIn accumulates src into dst in place.
 func AddIn(dst, src *Tensor) {
 	if len(dst.data) != len(src.data) {
@@ -36,26 +12,6 @@ func AddIn(dst, src *Tensor) {
 	}
 	for i := range dst.data {
 		dst.data[i] += src.data[i]
-	}
-}
-
-// SubIn subtracts src from dst in place.
-func SubIn(dst, src *Tensor) {
-	if len(dst.data) != len(src.data) {
-		panic(fmt.Sprintf("tensor: SubIn size mismatch %v vs %v", dst.shape, src.shape))
-	}
-	for i := range dst.data {
-		dst.data[i] -= src.data[i]
-	}
-}
-
-// MulIn multiplies dst by src elementwise in place.
-func MulIn(dst, src *Tensor) {
-	if len(dst.data) != len(src.data) {
-		panic(fmt.Sprintf("tensor: MulIn size mismatch %v vs %v", dst.shape, src.shape))
-	}
-	for i := range dst.data {
-		dst.data[i] *= src.data[i]
 	}
 }
 
@@ -69,15 +25,6 @@ func AddScaledIn(dst *Tensor, alpha float32, src *Tensor) {
 	}
 }
 
-// Scale returns alpha*a.
-func Scale(a *Tensor, alpha float32) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = alpha * v
-	}
-	return out
-}
-
 // ScaleIn multiplies a by alpha in place.
 func ScaleIn(a *Tensor, alpha float32) {
 	for i := range a.data {
@@ -85,94 +32,29 @@ func ScaleIn(a *Tensor, alpha float32) {
 	}
 }
 
-// AddScalar returns a + c.
-func AddScalar(a *Tensor, c float32) *Tensor {
+// Sub returns a - b elementwise in a fresh tensor. It is an allocating
+// convenience for cold reporting code; kernels use SubInto.
+func Sub(a, b *Tensor) *Tensor {
 	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = v + c
-	}
+	SubInto(out, a, b)
 	return out
 }
 
-// Apply returns f applied elementwise.
-func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = f(v)
-	}
-	return out
-}
-
-// ApplyIn applies f elementwise in place.
-func ApplyIn(a *Tensor, f func(float32) float32) {
-	for i, v := range a.data {
-		a.data[i] = f(v)
-	}
-}
-
-// Neg returns -a.
-func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
-
-// Sign returns the elementwise sign of a (-1, 0, or +1).
-func Sign(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 {
-		switch {
-		case v > 0:
-			return 1
-		case v < 0:
-			return -1
-		default:
-			return 0
-		}
-	})
-}
-
-// Abs returns |a| elementwise.
+// Abs returns |a| elementwise in a fresh tensor (cold reporting code only).
 func Abs(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 {
+	out := New(a.shape...)
+	ApplyInto(out, a, func(v float32) float32 {
 		if v < 0 {
 			return -v
 		}
 		return v
 	})
+	return out
 }
 
-// Exp returns e^a elementwise.
-func Exp(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 { return float32(math.Exp(float64(v))) })
-}
-
-// Log returns ln(a) elementwise.
-func Log(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 { return float32(math.Log(float64(v))) })
-}
-
-// Sqrt returns sqrt(a) elementwise.
-func Sqrt(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 { return float32(math.Sqrt(float64(v))) })
-}
-
-// Tanh returns tanh(a) elementwise.
-func Tanh(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 { return float32(math.Tanh(float64(v))) })
-}
-
-// Clamp returns a with every element clipped into [lo, hi].
-func Clamp(a *Tensor, lo, hi float32) *Tensor {
-	return Apply(a, func(v float32) float32 {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	})
-}
-
-// ClampIn clips in place.
+// ClampIn clips every element into [lo, hi] in place.
 func ClampIn(a *Tensor, lo, hi float32) {
-	ApplyIn(a, func(v float32) float32 {
+	ApplyInto(a, a, func(v float32) float32 {
 		if v < lo {
 			return lo
 		}
@@ -280,71 +162,6 @@ func NormLInf(a *Tensor) float64 {
 	return m
 }
 
-// SoftmaxRows returns row-wise softmax of a 2-D tensor, numerically
-// stabilized by the row max.
-func SoftmaxRows(a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic("tensor: SoftmaxRows requires a 2-D tensor")
-	}
-	rows, cols := a.shape[0], a.shape[1]
-	out := New(rows, cols)
-	for r := 0; r < rows; r++ {
-		row := a.data[r*cols : (r+1)*cols]
-		mx := row[0]
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		sum := 0.0
-		o := out.data[r*cols : (r+1)*cols]
-		for i, v := range row {
-			e := math.Exp(float64(v - mx))
-			o[i] = float32(e)
-			sum += e
-		}
-		inv := float32(1.0 / sum)
-		for i := range o {
-			o[i] *= inv
-		}
-	}
-	return out
-}
-
-// SumRows returns the column-wise sum of a 2-D tensor (shape [cols]).
-func SumRows(a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic("tensor: SumRows requires a 2-D tensor")
-	}
-	rows, cols := a.shape[0], a.shape[1]
-	out := New(cols)
-	for r := 0; r < rows; r++ {
-		row := a.data[r*cols : (r+1)*cols]
-		for c, v := range row {
-			out.data[c] += v
-		}
-	}
-	return out
-}
-
-// AddRowVectorIn adds a length-cols vector to every row of a 2-D tensor in
-// place (broadcast bias add).
-func AddRowVectorIn(a, v *Tensor) {
-	if len(a.shape) != 2 {
-		panic("tensor: AddRowVectorIn requires a 2-D tensor")
-	}
-	cols := a.shape[1]
-	if v.Len() != cols {
-		panic(fmt.Sprintf("tensor: AddRowVectorIn vector length %d != cols %d", v.Len(), cols))
-	}
-	for r := 0; r < a.shape[0]; r++ {
-		row := a.data[r*cols : (r+1)*cols]
-		for c := range row {
-			row[c] += v.data[c]
-		}
-	}
-}
-
 // checkSameLen panics unless all operands have equal element counts.
 func checkSameLen(op string, dst *Tensor, srcs ...*Tensor) {
 	for _, s := range srcs {
@@ -394,19 +211,33 @@ func ApplyInto(dst, a *Tensor, f func(float32) float32) {
 	}
 }
 
-// SoftmaxRowsInto stores the row-wise softmax of a 2-D tensor into dst,
-// numerically stabilized by the row max. dst may alias a.
-func SoftmaxRowsInto(dst, a *Tensor) {
-	if len(a.shape) != 2 {
-		panic("tensor: SoftmaxRowsInto requires a 2-D tensor")
+// matView folds t into its matrix view: the last dimension is the column
+// count and every leading dimension is folded into rows, so a [B,T,D]
+// activation is the [B*T, D] matrix the 2-D kernels walk — no reshaped
+// header is built. Rank < 2 panics.
+func matView(op string, t *Tensor) (rows, cols int) {
+	if len(t.shape) < 2 {
+		panic(fmt.Sprintf("tensor: %s requires rank >= 2, got %v", op, t.shape))
 	}
-	checkSameLen("SoftmaxRowsInto", dst, a)
-	SoftmaxRowsRaw(dst.data, a.data, a.shape[0], a.shape[1])
+	last := len(t.shape) - 1
+	rows = 1
+	for _, d := range t.shape[:last] {
+		rows *= d
+	}
+	return rows, t.shape[last]
 }
 
-// SoftmaxRowsRaw is SoftmaxRowsInto on raw buffers interpreted as
-// [rows, cols] row-major.
-func SoftmaxRowsRaw(dst, a []float32, rows, cols int) {
+// SoftmaxRowsInto stores the row-wise softmax of the matrix view of a into
+// dst, numerically stabilized by the row max. dst may alias a.
+func SoftmaxRowsInto(dst, a *Tensor) {
+	rows, cols := matView("SoftmaxRowsInto", a)
+	checkSameLen("SoftmaxRowsInto", dst, a)
+	softmaxRows(dst.data, a.data, rows, cols)
+}
+
+// softmaxRows is the softmax row loop on raw [rows, cols] buffers, shared
+// with the fused attention strips.
+func softmaxRows(dst, a []float32, rows, cols int) {
 	for r := 0; r < rows; r++ {
 		row := a[r*cols : (r+1)*cols]
 		mx := row[0]
@@ -429,37 +260,25 @@ func SoftmaxRowsRaw(dst, a []float32, rows, cols int) {
 	}
 }
 
-// AddRowVectorRaw adds a length-cols vector to every row of a [rows, cols]
-// raw buffer in place.
-func AddRowVectorRaw(a []float32, rows, cols int, v []float32) {
+// AddRowVectorIn adds a length-cols vector to every row of the matrix view
+// of a in place (broadcast bias add).
+func AddRowVectorIn(a, v *Tensor) {
+	rows, cols := matView("AddRowVectorIn", a)
+	if len(v.data) != cols {
+		panic(fmt.Sprintf("tensor: AddRowVectorIn vector length %d != cols %d", len(v.data), cols))
+	}
 	for r := 0; r < rows; r++ {
-		row := a[r*cols : (r+1)*cols]
+		row := a.data[r*cols : (r+1)*cols]
 		for c := range row {
-			row[c] += v[c]
+			row[c] += v.data[c]
 		}
 	}
 }
 
-// SumRowsRaw stores the column-wise sum of a [rows, cols] raw buffer into
+// SumRowsInto stores the column-wise sum of the matrix view of a into
 // dst [cols], overwriting it.
-func SumRowsRaw(dst, a []float32, rows, cols int) {
-	for c := range dst {
-		dst[c] = 0
-	}
-	for r := 0; r < rows; r++ {
-		row := a[r*cols : (r+1)*cols]
-		for c, v := range row {
-			dst[c] += v
-		}
-	}
-}
-
-// SumRowsInto stores the column-wise sum of a 2-D tensor into dst [cols].
 func SumRowsInto(dst, a *Tensor) {
-	if len(a.shape) != 2 {
-		panic("tensor: SumRowsInto requires a 2-D tensor")
-	}
-	rows, cols := a.shape[0], a.shape[1]
+	rows, cols := matView("SumRowsInto", a)
 	if len(dst.data) != cols {
 		panic(fmt.Sprintf("tensor: SumRowsInto dst %v vs cols %d", dst.shape, cols))
 	}
@@ -470,19 +289,4 @@ func SumRowsInto(dst, a *Tensor) {
 			dst.data[c] += v
 		}
 	}
-}
-
-// Transpose returns the transpose of a 2-D tensor.
-func Transpose(a *Tensor) *Tensor {
-	if len(a.shape) != 2 {
-		panic("tensor: Transpose requires a 2-D tensor")
-	}
-	rows, cols := a.shape[0], a.shape[1]
-	out := New(cols, rows)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			out.data[c*rows+r] = a.data[r*cols+c]
-		}
-	}
-	return out
 }

@@ -92,19 +92,19 @@ func TestMatMulBitIdentityAcrossWorkers(t *testing.T) {
 	bt := rng.Uniform(-1, 1, 301, 193) // [n,k] for transB
 	var serialMM, serialTB, serialTA *Tensor
 	withWorkers(1, func() {
-		serialMM = MatMul(a, b)
-		serialTB = MatMulTransB(a, bt)
-		serialTA = MatMulTransA(at, b)
+		serialMM = matMul(a, b)
+		serialTB = matMulTransposedB(a, bt)
+		serialTA = matMulTransposedA(at, b)
 	})
 	for _, w := range []int{2, 5, 8} {
 		withWorkers(w, func() {
-			if got := MatMul(a, b); !bitEqual(got.Data(), serialMM.Data()) {
+			if got := matMul(a, b); !bitEqual(got.Data(), serialMM.Data()) {
 				t.Fatalf("workers=%d: MatMul bits diverge from single-threaded", w)
 			}
-			if got := MatMulTransB(a, bt); !bitEqual(got.Data(), serialTB.Data()) {
+			if got := matMulTransposedB(a, bt); !bitEqual(got.Data(), serialTB.Data()) {
 				t.Fatalf("workers=%d: MatMulTransB bits diverge", w)
 			}
-			if got := MatMulTransA(at, b); !bitEqual(got.Data(), serialTA.Data()) {
+			if got := matMulTransposedA(at, b); !bitEqual(got.Data(), serialTA.Data()) {
 				t.Fatalf("workers=%d: MatMulTransA bits diverge", w)
 			}
 		})
@@ -157,7 +157,7 @@ func TestConvTransposeBitIdentityAcrossWorkers(t *testing.T) {
 	x := rng.Uniform(-1, 1, 4, 6, 9, 9)
 	w := rng.Uniform(-1, 1, 6, 3, 4, 4)
 	var serial *Tensor
-	withWorkers(1, func() { serial = ConvTranspose2d(x, w, 3, 0) })
+	withWorkers(1, func() { serial = convTranspose2d(x, w, 3, 0) })
 	withWorkers(8, func() {
 		p := NewPool()
 		got := New(serial.Shape()...)
@@ -231,7 +231,7 @@ func TestFusedAttentionMatchesMaterializingChain(t *testing.T) {
 	scores := New(G, T, T)
 	BMMInto(scores, q, kT)
 	ScaleInto(scores, scores, scale)
-	SoftmaxRowsRaw(scores.Data(), scores.Data(), G*T, T)
+	SoftmaxRowsInto(scores, scores)
 	ref := New(G, T, dh)
 	BMMInto(ref, scores, v)
 
@@ -252,8 +252,8 @@ func TestWorkerPoolConcurrentCallers(t *testing.T) {
 	w := rng.Uniform(-1, 1, 5, 3, 3, 3)
 	var wantMM, wantConv *Tensor
 	withWorkers(1, func() {
-		wantMM = MatMul(a, b)
-		wantConv = Conv2d(x, w, nil, 1, 1)
+		wantMM = matMul(a, b)
+		wantConv = conv2d(x, w, nil, 1, 1)
 	})
 
 	withWorkers(8, func() {

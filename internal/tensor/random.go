@@ -42,17 +42,3 @@ func (g *RNG) Uniform(lo, hi float64, shape ...int) *Tensor {
 	}
 	return t
 }
-
-// FillNormal overwrites t with N(mean, std²) samples.
-func (g *RNG) FillNormal(t *Tensor, mean, std float64) {
-	for i := range t.data {
-		t.data[i] = float32(mean + std*g.r.NormFloat64())
-	}
-}
-
-// FillUniform overwrites t with uniform samples in [lo, hi).
-func (g *RNG) FillUniform(t *Tensor, lo, hi float64) {
-	for i := range t.data {
-		t.data[i] = float32(lo + (hi-lo)*g.r.Float64())
-	}
-}

@@ -43,9 +43,6 @@ func Full(v float32, shape ...int) *Tensor {
 // Ones returns a tensor of ones.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 
-// Scalar returns a 1-element tensor holding v.
-func Scalar(v float32) *Tensor { return FromSlice([]float32{v}, 1) }
-
 func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
@@ -183,12 +180,13 @@ func (t *Tensor) String() string {
 func (t *Tensor) Bytes() int64 { return int64(len(t.data)) * 4 }
 
 // AllClose reports whether all elements of t and o differ by at most tol.
+// A NaN on either side is never close.
 func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
 	if len(t.data) != len(o.data) {
 		return false
 	}
 	for i := range t.data {
-		if math.Abs(float64(t.data[i]-o.data[i])) > tol {
+		if d := math.Abs(float64(t.data[i] - o.data[i])); !(d <= tol) {
 			return false
 		}
 	}

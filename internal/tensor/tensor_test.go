@@ -107,23 +107,32 @@ func TestSliceView(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float32{1, -2, 3}, 3)
 	b := FromSlice([]float32{4, 5, -6}, 3)
-	if got := Add(a, b).Data(); got[0] != 5 || got[1] != 3 || got[2] != -3 {
-		t.Fatalf("Add = %v", got)
+	dst := New(3)
+	AddInto(dst, a, b)
+	if got := dst.Data(); got[0] != 5 || got[1] != 3 || got[2] != -3 {
+		t.Fatalf("AddInto = %v", got)
 	}
 	if got := Sub(a, b).Data(); got[0] != -3 || got[1] != -7 || got[2] != 9 {
 		t.Fatalf("Sub = %v", got)
 	}
-	if got := Mul(a, b).Data(); got[0] != 4 || got[1] != -10 || got[2] != -18 {
-		t.Fatalf("Mul = %v", got)
+	MulInto(dst, a, b)
+	if got := dst.Data(); got[0] != 4 || got[1] != -10 || got[2] != -18 {
+		t.Fatalf("MulInto = %v", got)
 	}
-	if got := Sign(a).Data(); got[0] != 1 || got[1] != -1 || got[2] != 1 {
-		t.Fatalf("Sign = %v", got)
+	ApplyInto(dst, a, func(v float32) float32 { return 2 * v })
+	if got := dst.Data(); got[0] != 2 || got[1] != -4 || got[2] != 6 {
+		t.Fatalf("ApplyInto = %v", got)
 	}
-	if got := Abs(a).Data(); got[1] != 2 {
+	if got := Abs(a).Data(); got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("Abs = %v", got)
 	}
-	if got := Clamp(a, -1, 1).Data(); got[1] != -1 || got[2] != 1 {
-		t.Fatalf("Clamp = %v", got)
+	c := a.Clone()
+	ClampIn(c, -1, 1)
+	if got := c.Data(); got[0] != 1 || got[1] != -1 || got[2] != 1 {
+		t.Fatalf("ClampIn = %v", got)
+	}
+	if a.Data()[1] != -2 {
+		t.Fatal("Sub/Abs must not write their operands")
 	}
 }
 
@@ -176,7 +185,8 @@ func TestArgmaxRows(t *testing.T) {
 
 func TestSoftmaxRows(t *testing.T) {
 	a := FromSlice([]float32{1, 1, 1, 1000, 0, 0}, 2, 3)
-	s := SoftmaxRows(a)
+	s := New(2, 3)
+	SoftmaxRowsInto(s, a)
 	for c := 0; c < 3; c++ {
 		if math.Abs(float64(s.At(0, c))-1.0/3) > 1e-6 {
 			t.Fatalf("uniform softmax row wrong: %v", s.Row(0).Data())
@@ -193,7 +203,7 @@ func TestSoftmaxRows(t *testing.T) {
 
 func TestTranspose(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	at := Transpose(a)
+	at := transpose(a)
 	if at.Dim(0) != 3 || at.Dim(1) != 2 {
 		t.Fatalf("shape = %v", at.Shape())
 	}
@@ -205,7 +215,7 @@ func TestTranspose(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{5, 6, 7, 8}, 2, 2)
-	c := MatMul(a, b)
+	c := matMul(a, b)
 	want := []float32{19, 22, 43, 50}
 	for i, w := range want {
 		if c.Data()[i] != w {
@@ -218,12 +228,12 @@ func TestMatMulVariantsAgree(t *testing.T) {
 	rng := NewRNG(1)
 	a := rng.Normal(0, 1, 7, 5)
 	b := rng.Normal(0, 1, 5, 9)
-	want := MatMul(a, b)
-	gotTB := MatMulTransB(a, Transpose(b))
+	want := matMul(a, b)
+	gotTB := matMulTransposedB(a, transpose(b))
 	if !want.AllClose(gotTB, 1e-4) {
 		t.Fatal("MatMulTransB disagrees with MatMul")
 	}
-	gotTA := MatMulTransA(Transpose(a), b)
+	gotTA := matMulTransposedA(transpose(a), b)
 	if !want.AllClose(gotTA, 1e-4) {
 		t.Fatal("MatMulTransA disagrees with MatMul")
 	}
@@ -233,7 +243,7 @@ func TestMatMulLargeParallelMatchesSerial(t *testing.T) {
 	rng := NewRNG(2)
 	a := rng.Normal(0, 1, 130, 64)
 	b := rng.Normal(0, 1, 64, 70)
-	got := MatMul(a, b) // exercises the parallel path
+	got := matMul(a, b) // exercises the parallel path
 	// Serial reference.
 	want := New(130, 70)
 	for i := 0; i < 130; i++ {
@@ -256,7 +266,7 @@ func TestMatMulMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic for inner-dim mismatch")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 5))
+	MatMulInto(New(2, 5), New(2, 3), New(4, 5))
 }
 
 func TestMatMulAssociativityWithIdentity(t *testing.T) {
@@ -268,7 +278,7 @@ func TestMatMulAssociativityWithIdentity(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			id.Set(1, i, i)
 		}
-		return MatMul(a, id).AllClose(a, 1e-5)
+		return matMul(a, id).AllClose(a, 1e-5)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
