@@ -38,6 +38,5 @@
 // final_accuracy, robust_accuracy/fooled from the compromised client's last
 // probe, poison_effective, bandwidth (down_bytes/up_bytes), wall time,
 // rounds_per_sec, and the aggregator's merged/stale_merged/duplicates/
-// rejected/drops counters. -benchjson additionally writes a BENCH_*.json
-// timing artifact for the perf trajectory.
+// rejected/drops counters.
 package main

@@ -63,8 +63,7 @@ type options struct {
 	// Summarize mode.
 	summarize string
 
-	benchJSON string
-	trace     string
+	trace string
 }
 
 func run() error {
@@ -97,7 +96,6 @@ func run() error {
 	flag.StringVar(&o.out, "out", "", "write one JSON row per sweep cell to this file (NDJSON)")
 	flag.BoolVar(&o.summary, "summary", true, "print the eval summary after a sweep")
 	flag.StringVar(&o.summarize, "summarize", "", "summarize an existing sweep NDJSON file and exit")
-	flag.StringVar(&o.benchJSON, "benchjson", "", "write machine-readable timing to this JSON file (e.g. BENCH_flsim.json)")
 	flag.StringVar(&o.trace, "trace", "", "single run: write per-round phase spans (train/transport/aggregate/broadcast) as NDJSON to this file")
 	flag.Parse()
 
@@ -251,19 +249,9 @@ func runSweep(o options) error {
 	if encErr != nil {
 		return fmt.Errorf("writing sweep rows: %w", encErr)
 	}
-	elapsed := time.Since(start)
-	fmt.Fprintf(os.Stderr, "[flsim] %d cells in %v\n", len(rows), elapsed.Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "[flsim] %d cells in %v\n", len(rows), time.Since(start).Round(time.Millisecond))
 	if o.summary {
 		fmt.Fprint(summaryDst, eval.SummarizeSweep(rows).Render())
-	}
-	if o.benchJSON != "" {
-		return writeBench(o.benchJSON, map[string]any{
-			"mode":          "sweep",
-			"cells":         len(rows),
-			"rounds":        o.rounds,
-			"seconds":       elapsed.Seconds(),
-			"cells_per_sec": float64(len(rows)) / elapsed.Seconds(),
-		})
 	}
 	return nil
 }
@@ -317,12 +305,10 @@ func runSingle(o options) error {
 	}
 	fmt.Printf("federation: 1 server, %d honest clients, 1 compromised (shield=%v, transport=%s, deterministic=%v, defense=%s)\n",
 		o.clients, o.shield, map[bool]string{true: "tcp", false: "local"}[o.useTCP], o.deterministic, agg.Name())
-	start := time.Now()
 	results, err := server.Run()
 	if err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
 	for _, r := range results {
 		fmt.Printf("round %d: global accuracy %.1f%% (merged %d, stale %d, dropped %d)\n",
 			r.Round, 100*r.Accuracy, r.Merged, r.StaleMerged, r.Dropped)
@@ -355,18 +341,6 @@ func runSingle(o options) error {
 		}
 		fmt.Printf("saved %s (defense=%s, rounds=%d, seed=%d)\n", o.save, meta.Aggregator, meta.Rounds, meta.Seed)
 	}
-	if o.benchJSON != "" {
-		if err := writeBench(o.benchJSON, map[string]any{
-			"mode":           "single",
-			"clients":        o.clients + 1,
-			"rounds":         len(results),
-			"defense":        agg.Name(),
-			"seconds":        elapsed.Seconds(),
-			"rounds_per_sec": float64(len(results)) / elapsed.Seconds(),
-		}); err != nil {
-			return err
-		}
-	}
 	if len(compromised.Outcomes) == 0 {
 		// Possible when the engine dropped the compromised client's every
 		// update.
@@ -382,19 +356,6 @@ func runSingle(o options) error {
 		fmt.Println("No shield: the compromised client exploited the full white-box.")
 	}
 	return nil
-}
-
-// writeBench dumps one machine-readable timing record, keeping the perf
-// trajectory trackable across commits (see CI's BENCH_*.json artifacts).
-func writeBench(path string, rec map[string]any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rec)
 }
 
 func parseInts(spec string) ([]int, error) {

@@ -21,6 +21,12 @@
 //	GET  /metrics — per-route counters and p50/p95/p99 latency
 //	GET  /healthz — liveness
 //
+// The listener is an http.Server with fixed read-header, read, write and
+// idle timeouts (a stalled client cannot pin a goroutine and its line
+// buffer; the write timeout outlasts a full /query body and a 30 s pprof
+// profile). SIGINT/SIGTERM drain it: stop accepting, give requests in
+// flight 15 s, then close the scheduler — a clean exit, status 0.
+//
 // Load-generator mode (-loadgen) skips HTTP and drives the service
 // in-process with mixed traffic — benign validation samples plus FGSM/PGD
 // probes crafted against the same weights (-adv-frac, -attack) — along an
@@ -32,7 +38,7 @@
 // smoke cell and the README's static-vs-autoscaled table), and without it
 // the trace is the single phase that launches -n requests at -rate with
 // the pool's adversarial share. -benchjson dumps the same numbers
-// machine-readably for the CI BENCH_*.json artifacts.
+// machine-readably; CI's autoscale, trace and detection gates parse it.
 //
 // Weights warm-start from an internal/fl checkpoint (-checkpoint) written
 // by cmd/flsim or fl.SaveCheckpoint; a stamped checkpoint's provenance

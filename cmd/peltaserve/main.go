@@ -1,13 +1,16 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"pelta/internal/attack"
@@ -273,7 +276,45 @@ func run() error {
 		return runLoadgen(o, svc, base, val)
 	}
 	fmt.Fprintf(os.Stderr, "[peltaserve] listening on http://%s (POST /query, GET /metrics; probe identity via %s)\n", o.addr, serve.HeaderClient)
-	return http.ListenAndServe(o.addr, serve.NewHandlerWith(svc, serve.HandlerOptions{Pprof: o.pprof}))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	// The deferred svc.Close above drains the scheduler once this returns.
+	return serveUntil(ctx, newServer(o.addr, serve.NewHandlerWith(svc, serve.HandlerOptions{Pprof: o.pprof})))
+}
+
+// newServer bounds every phase of a connection, so a stalled client cannot
+// pin a goroutine and its (up to 16 MB) line buffer forever. Constants, not
+// flags: ReadTimeout covers uploading a full /query body, WriteTimeout the
+// slowest answers — that body's reply or a 30 s pprof CPU profile.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       time.Minute,
+		WriteTimeout:      2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
+// serveUntil serves until ctx is done (SIGINT/SIGTERM in production), then
+// stops accepting and gives requests in flight drainTimeout to finish. A
+// listen failure is returned as is; a clean drain returns nil.
+func serveUntil(ctx context.Context, srv *http.Server) error {
+	const drainTimeout = 15 * time.Second
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	fmt.Fprintln(os.Stderr, "[peltaserve] shutting down: draining requests in flight")
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	err := srv.Shutdown(dctx)
+	<-errc // http.ErrServerClosed once Shutdown has begun
+	return err
 }
 
 // accJSON renders a (value, ok) measurement for the bench record: the

@@ -33,6 +33,6 @@
 // offsets all fail); SummarizeRoundSpans renders FL round-phase spans as
 // the train/transport/aggregate/broadcast breakdown line cmd/flsim
 // prints. Evaluation is deterministic
-// given an AttackSet seed; batch fan-out across oracle workers
-// (SetOracleWorkers) never changes results, only wall time.
+// given an AttackSet seed; batch fan-out across oracle workers (one per
+// core) never changes results, only wall time.
 package eval

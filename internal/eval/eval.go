@@ -99,18 +99,10 @@ func Median(vals []float64) float64 {
 	return vals[len(vals)/2]
 }
 
-// oracleWorkers bounds the attack-oracle worker pool (0 = GOMAXPROCS).
-var oracleWorkers = 0
-
-// SetOracleWorkers bounds the per-oracle worker pool used by the evaluation
-// harness (0 restores the GOMAXPROCS default). Each worker owns a pooled
-// graph arena over the shared model weights.
-func SetOracleWorkers(n int) { oracleWorkers = n }
-
 // ClearOracleFor returns the harness's standard clear oracle for m: pooled
-// arenas fanned across the configured worker count.
+// arenas fanned across one worker per core (0 = GOMAXPROCS).
 func ClearOracleFor(m models.Model) attack.Oracle {
-	return attack.NewParallelClearOracle(m, oracleWorkers)
+	return attack.NewParallelClearOracle(m, 0)
 }
 
 // Oracles returns the clear and shielded gradient oracles for m. The clear

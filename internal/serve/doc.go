@@ -15,8 +15,8 @@
 //     bounded (QueueDepth) and requests are shed with the typed
 //     ErrOverloaded when the queue is full or a deadline expires before
 //     service, so overload degrades predictably instead of growing an
-//     unbounded backlog. Malformed samples (wrong shape/rank) are refused
-//     with a per-route Rejected counter.
+//     unbounded backlog. Malformed samples (wrong shape, non-finite
+//     values) are refused with a per-route Rejected counter.
 //
 // The adaptive control plane (both knobs off by default — the service then
 // behaves exactly like the statically provisioned scheduler):
@@ -35,7 +35,14 @@
 //   - Metrics — the serving metrics core: per-route counters (offered,
 //     served, shed, rejected, errors, mean batch) and p50/p95/p99 latency via the
 //     P² streaming quantile sketch (P2Quantile), validated in tests
-//     against the exact eval.Quantiles on the same samples.
+//     against the exact eval.Quantiles on the same samples. One exit per
+//     request: Metrics.Served counts an answered one; any other leaves
+//     through Service.unserved with its obs.Outcome* value, which
+//     Metrics.Unserved maps to a counter (rejected → rejected, error →
+//     errors, shed-* → shed, shed-detect also detect_shed) and which,
+//     when tracing, is stamped on the always-emitted span. So requests =
+//     served + shed + rejected + errors by construction, and offered −
+//     requests is the in-flight count.
 //   - RunLoadPhases — the open-loop load generator over a mixed benign +
 //     adversarial traffic pool: it fires a LoadPhase trace (rate ×
 //     duration × adv-frac steps — ramps, bursts, diurnal shapes; one phase
@@ -83,8 +90,8 @@
 //     them with ErrFlagged (wrapping ErrOverloaded). SubmitFrom is the
 //     detected submission path; the detector's verdicts land in the
 //     per-route metrics (probed, probe_hits, flagged_queries, detect_shed
-//     — the last counted into shed, preserving the requests = served +
-//     shed + rejected + errors invariant) and the flag_events total.
+//     — a subset of shed: the shed-detect outcome counts into both) and
+//     the flag_events total.
 //   - QueryStream / RunDetectLoad — the detection loadgen: labeled
 //     per-client query streams (benign callers vs recorded attack runs)
 //     replayed concurrently across streams but strictly in order within

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pelta/internal/obs"
 	"pelta/internal/tensor"
 )
 
@@ -145,6 +146,17 @@ func NewHandlerWith(s *Service, opts HandlerOptions) http.Handler {
 			dim *= d
 		}
 
+		// reject refuses the body over a line that never reaches Submit.
+		// Malformed traffic must show in /metrics and the trace, not just
+		// in the caller's 4xx, so the line is opened the way SubmitFrom
+		// opens one (offered − requests stays the in-flight count).
+		client := clientID(r)
+		reject := func(code int, msg string) {
+			sp, _ := s.begin("query", client)
+			s.unserved("query", &sp, obs.OutcomeRejected)
+			http.Error(w, msg, code)
+		}
+
 		var reqs []QueryRequest
 		sc := bufio.NewScanner(r.Body)
 		sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -155,34 +167,22 @@ func NewHandlerWith(s *Service, opts HandlerOptions) http.Handler {
 			}
 			var q QueryRequest
 			if err := json.Unmarshal(line, &q); err != nil {
-				// Malformed traffic must show up in /metrics, not just in
-				// the caller's 400 — see Metrics.Rejected. Offered keeps the
-				// offered−requests in-flight invariant for lines that never
-				// reach Submit.
-				s.metrics.Offered("query")
-				s.metrics.Rejected("query")
-				http.Error(w, fmt.Sprintf("line %d: %v", len(reqs)+1, err), http.StatusBadRequest)
+				reject(http.StatusBadRequest, fmt.Sprintf("line %d: %v", len(reqs)+1, err))
 				return
 			}
 			if len(q.X) != dim {
-				s.metrics.Offered("query")
-				s.metrics.Rejected("query")
-				http.Error(w, fmt.Sprintf("line %d: sample has %d values, want %d", len(reqs)+1, len(q.X), dim), http.StatusBadRequest)
+				reject(http.StatusBadRequest, fmt.Sprintf("line %d: sample has %d values, want %d", len(reqs)+1, len(q.X), dim))
 				return
 			}
 			if len(reqs) == maxQueryLines {
-				s.metrics.Offered("query")
-				s.metrics.Rejected("query")
-				http.Error(w, fmt.Sprintf("too many lines (max %d)", maxQueryLines), http.StatusRequestEntityTooLarge)
+				reject(http.StatusRequestEntityTooLarge, fmt.Sprintf("too many lines (max %d)", maxQueryLines))
 				return
 			}
 			reqs = append(reqs, q)
 		}
 		if err := sc.Err(); err != nil {
 			// An oversized or truncated line is rejected traffic too.
-			s.metrics.Offered("query")
-			s.metrics.Rejected("query")
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			reject(http.StatusBadRequest, err.Error())
 			return
 		}
 
@@ -194,7 +194,6 @@ func NewHandlerWith(s *Service, opts HandlerOptions) http.Handler {
 		// probe detector sees this client's lines in whatever order the
 		// submits race in; near-duplicate detection is order-insensitive
 		// within one body.)
-		client := clientID(r)
 		clock := s.Clock()
 		out := make([]QueryResponse, len(reqs))
 		var served, shed, failed atomic.Int64

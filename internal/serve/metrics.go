@@ -122,39 +122,26 @@ func (e *P2Quantile) Reset() {
 	*e = P2Quantile{p: e.p, dwant: e.dwant}
 }
 
-// routeStats accumulates one route's counters and latency sketches.
+// routeStats accumulates one route's latency sketches and, in the embedded
+// RouteSnapshot, its counters; snapshotLocked fills the derived fields.
 type routeStats struct {
-	offered  uint64 // every Submit attempt, counted before any decision
-	requests uint64 // resolved: served + shed + rejected + errored
-	served   uint64
-	shed     uint64 // rejected by admission control or deadline shedding
-	rejected uint64 // malformed (wrong shape/rank) before admission
-	errors   uint64
+	RouteSnapshot
 
 	// batchSamples sums the batch size each served request rode in, so
 	// mean batch size = batchSamples/served.
 	batchSamples uint64
-
-	// Probe-detector counters: probed queries (detector consulted), hits
-	// (near-duplicate K-th-NN match), flaggedQ (queries observed while the
-	// client's flag was active) and detectShed (flagged queries shed under
-	// DetectShed; every detectShed is also counted in shed, so the
-	// requests = served+shed+rejected+errors invariant is unchanged).
-	probed     uint64
-	probeHits  uint64
-	flaggedQ   uint64
-	detectShed uint64
 
 	totalLatency  time.Duration
 	maxLatency    time.Duration
 	p50, p95, p99 *P2Quantile
 }
 
-func newRouteStats() *routeStats {
+func newRouteStats(name string) *routeStats {
 	return &routeStats{
-		p50: NewP2Quantile(0.50),
-		p95: NewP2Quantile(0.95),
-		p99: NewP2Quantile(0.99),
+		RouteSnapshot: RouteSnapshot{Route: name},
+		p50:           NewP2Quantile(0.50),
+		p95:           NewP2Quantile(0.95),
+		p99:           NewP2Quantile(0.99),
 	}
 }
 
@@ -199,7 +186,7 @@ func NewMetricsAt(clock Clock) *Metrics {
 func (m *Metrics) route(name string) *routeStats {
 	r := m.routes[name]
 	if r == nil {
-		r = newRouteStats()
+		r = newRouteStats(name)
 		m.routes[name] = r
 	}
 	return r
@@ -211,8 +198,8 @@ func (m *Metrics) Served(route string, latency time.Duration, batch int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r := m.route(route)
-	r.requests++
-	r.served++
+	r.Requests++
+	r.Served++
 	r.batchSamples += uint64(batch)
 	r.totalLatency += latency
 	if latency > r.maxLatency {
@@ -274,23 +261,30 @@ func (m *Metrics) RecordScale(from, to int) {
 	}
 }
 
-// Shed records one request rejected by admission control (queue full or
-// deadline exceeded before service).
-func (m *Metrics) Shed(route string) {
+// Unserved records one request that ended without an answer, by its
+// obs.Outcome* value: requests++ plus exactly one of rejected (malformed —
+// uncounted, garbage traffic is invisible to /metrics), errors (inference
+// failed) or shed (every shed-* outcome; shed-detect also counts into
+// detect_shed). Served is the only other writer of requests, so requests =
+// served + shed + rejected + errors by construction.
+func (m *Metrics) Unserved(route, outcome string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r := m.route(route)
-	r.requests++
-	r.shed++
-}
-
-// Error records one request that failed in the inference path.
-func (m *Metrics) Error(route string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r := m.route(route)
-	r.requests++
-	r.errors++
+	r.Requests++
+	switch outcome {
+	case obs.OutcomeRejected:
+		r.Rejected++
+	case obs.OutcomeError:
+		r.Errors++
+	case obs.OutcomeShedDetect:
+		r.DetectShed++
+		fallthrough
+	case obs.OutcomeShedDeadlineAdmit, obs.OutcomeShedAdmitLimit, obs.OutcomeShedQueueFull, obs.OutcomeShedDeadlineBatch:
+		r.Shed++
+	default:
+		panic("serve: Metrics.Unserved: no counter for outcome " + outcome)
+	}
 }
 
 // Offered records one request entering Submit, before any admission
@@ -300,7 +294,7 @@ func (m *Metrics) Error(route string) {
 func (m *Metrics) Offered(route string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.route(route).offered++
+	m.route(route).Offered++
 }
 
 // Probe records one query consulted against the probe detector: whether
@@ -310,49 +304,26 @@ func (m *Metrics) Probe(route string, hit, flagged, newFlag bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r := m.route(route)
-	r.probed++
+	r.Probed++
 	if hit {
-		r.probeHits++
+		r.ProbeHits++
 	}
 	if flagged {
-		r.flaggedQ++
+		r.FlaggedQueries++
 	}
 	if newFlag {
 		m.flagEvents++
 	}
 }
 
-// DetectShed records one flagged request shed by the probe detector under
-// DetectShed. It counts into shed too, so the per-route accounting
-// invariant (requests = served + shed + rejected + errors) still holds.
-func (m *Metrics) DetectShed(route string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r := m.route(route)
-	r.requests++
-	r.shed++
-	r.detectShed++
-}
-
-// Rejected records one malformed request (wrong sample shape or rank)
-// refused before admission — without this counter a stream of garbage
-// traffic is invisible to /metrics.
-func (m *Metrics) Rejected(route string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r := m.route(route)
-	r.requests++
-	r.rejected++
-}
-
 // RouteSnapshot is the serializable view of one route's stats.
 type RouteSnapshot struct {
 	Route    string `json:"route"`
-	Offered  uint64 `json:"offered"`
-	Requests uint64 `json:"requests"`
+	Offered  uint64 `json:"offered"`  // every Submit attempt, counted before any decision
+	Requests uint64 `json:"requests"` // resolved: served + shed + rejected + errors
 	Served   uint64 `json:"served"`
-	Shed     uint64 `json:"shed"`
-	Rejected uint64 `json:"rejected"`
+	Shed     uint64 `json:"shed"`     // refused by admission control, the probe detector or a deadline
+	Rejected uint64 `json:"rejected"` // malformed (wrong shape, non-finite value, bad NDJSON) before admission
 	Errors   uint64 `json:"errors"`
 	// Probed / ProbeHits / FlaggedQueries / DetectShed expose the probe
 	// detector's per-route view; all stay zero (and omitted) when the
@@ -416,26 +387,12 @@ func (m *Metrics) snapshotLocked() Snapshot {
 	sort.Strings(names)
 	for _, name := range names {
 		r := m.routes[name]
-		rs := RouteSnapshot{
-			Route:          name,
-			Offered:        r.offered,
-			Requests:       r.requests,
-			Served:         r.served,
-			Shed:           r.shed,
-			Rejected:       r.rejected,
-			Errors:         r.errors,
-			Probed:         r.probed,
-			ProbeHits:      r.probeHits,
-			FlaggedQueries: r.flaggedQ,
-			DetectShed:     r.detectShed,
-			P50Ms:          r.p50.Value(),
-			P95Ms:          r.p95.Value(),
-			P99Ms:          r.p99.Value(),
-			MaxMs:          float64(r.maxLatency) / float64(time.Millisecond),
-		}
-		if r.served > 0 {
-			rs.MeanBatch = float64(r.batchSamples) / float64(r.served)
-			rs.MeanMs = float64(r.totalLatency) / float64(r.served) / float64(time.Millisecond)
+		rs := r.RouteSnapshot
+		rs.P50Ms, rs.P95Ms, rs.P99Ms = r.p50.Value(), r.p95.Value(), r.p99.Value()
+		rs.MaxMs = float64(r.maxLatency) / float64(time.Millisecond)
+		if r.Served > 0 {
+			rs.MeanBatch = float64(r.batchSamples) / float64(r.Served)
+			rs.MeanMs = float64(r.totalLatency) / float64(r.Served) / float64(time.Millisecond)
 		}
 		s.Routes = append(s.Routes, rs)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pelta/internal/eval"
+	"pelta/internal/obs"
 	"pelta/internal/serve"
 )
 
@@ -178,8 +179,8 @@ func TestMetricsCountersAndSnapshot(t *testing.T) {
 	m := serve.NewMetrics()
 	m.Served("query", 2*time.Millisecond, 4)
 	m.Served("query", 4*time.Millisecond, 2)
-	m.Shed("query")
-	m.Error("adv")
+	m.Unserved("query", obs.OutcomeShedQueueFull)
+	m.Unserved("adv", obs.OutcomeError)
 	snap := m.Snapshot()
 	if len(snap.Routes) != 2 {
 		t.Fatalf("routes %d, want 2", len(snap.Routes))

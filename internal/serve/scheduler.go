@@ -322,51 +322,31 @@ func (s *Service) SubmitFrom(route, client string, x *tensor.Tensor, deadline ti
 		// resolving counter would read as an in-flight request forever.
 		return nil, ErrClosed
 	}
-	// Span timestamps are taken only when tracing is armed; the untraced
-	// path performs no extra clock reads and no allocations (sp lives on
-	// the stack here and inline in the request struct).
 	tr := s.tracer
-	var sp obs.SpanRecord
-	var sampled bool
-	if tr != nil {
-		sp = obs.NewSpanRecord(s.cfg.Clock.Now())
-		sp.ID, sampled = tr.Begin()
-		sp.Route, sp.Client = route, client
-	}
-	s.metrics.Offered(route)
+	sp, sampled := s.begin(route, client)
 	want := s.pool.InputShape()
 	if x.Rank() == len(want)+1 && x.Dim(0) == 1 {
 		x = x.Slice(0)
 	}
-	if x.Rank() != len(want) {
+	if !equalShape(x.Shape(), want) {
 		s.mu.RUnlock()
-		s.metrics.Rejected(route)
-		if tr != nil {
-			sp.Outcome = obs.OutcomeRejected
-			tr.Emit(sp)
-		}
-		return nil, fmt.Errorf("serve: sample rank %d, want shape %v", x.Rank(), want)
+		s.unserved(route, &sp, obs.OutcomeRejected)
+		return nil, fmt.Errorf("serve: sample shape %v, want %v", x.Shape(), want)
 	}
-	for i, d := range want {
-		if x.Dim(i) != d {
+	// A NaN or ±Inf pixel would be answered with NaN logits and fingerprint
+	// to the zero vector, blinding the detector for that query.
+	for _, v := range x.Data() {
+		if v-v != 0 {
 			s.mu.RUnlock()
-			s.metrics.Rejected(route)
-			if tr != nil {
-				sp.Outcome = obs.OutcomeRejected
-				tr.Emit(sp)
-			}
-			return nil, fmt.Errorf("serve: sample shape %v, want %v", x.Shape(), want)
+			s.unserved(route, &sp, obs.OutcomeRejected)
+			return nil, errors.New("serve: sample has a non-finite value (NaN or ±Inf)")
 		}
 	}
 
 	now := s.cfg.Clock.Now()
 	if !deadline.IsZero() && now.After(deadline) {
 		s.mu.RUnlock()
-		s.metrics.Shed(route)
-		if tr != nil {
-			sp.Outcome = obs.OutcomeShedDeadlineAdmit
-			tr.Emit(sp)
-		}
+		s.unserved(route, &sp, obs.OutcomeShedDeadlineAdmit)
 		return nil, fmt.Errorf("serve: deadline passed at admission: %w", ErrOverloaded)
 	}
 	admitRoute := route
@@ -386,11 +366,7 @@ func (s *Service) SubmitFrom(route, client string, x *tensor.Tensor, deadline ti
 			switch s.cfg.Detect.Action {
 			case DetectShed:
 				s.mu.RUnlock()
-				s.metrics.DetectShed(route)
-				if tr != nil {
-					sp.Outcome = obs.OutcomeShedDetect
-					tr.Emit(sp)
-				}
+				s.unserved(route, &sp, obs.OutcomeShedDetect)
 				return nil, fmt.Errorf("serve: probe detector shed client %q: %w (%w)", client, ErrFlagged, ErrOverloaded)
 			case DetectDeprioritize:
 				// Charge the flagged bucket instead of the client's route;
@@ -401,11 +377,7 @@ func (s *Service) SubmitFrom(route, client string, x *tensor.Tensor, deadline ti
 	}
 	if s.admit != nil && !s.admit.allow(admitRoute, now) {
 		s.mu.RUnlock()
-		s.metrics.Shed(route)
-		if tr != nil {
-			sp.Outcome = obs.OutcomeShedAdmitLimit
-			tr.Emit(sp)
-		}
+		s.unserved(route, &sp, obs.OutcomeShedAdmitLimit)
 		return nil, fmt.Errorf("serve: admission limit for route %q (weighted token bucket): %w", admitRoute, ErrOverloaded)
 	}
 	r := &request{x: x, route: route, deadline: deadline, enqueued: now, flagged: flagged, done: make(chan response, 1)}
@@ -421,19 +393,41 @@ func (s *Service) SubmitFrom(route, client string, x *tensor.Tensor, deadline ti
 		s.mu.RUnlock()
 	default:
 		s.mu.RUnlock()
-		s.metrics.Shed(route)
-		if tr != nil {
-			// The request never made it into the queue: report the local
-			// copy with the enqueue instant rolled back.
-			sp.Enqueued = obs.NoOffset
-			sp.Outcome = obs.OutcomeShedQueueFull
-			tr.Emit(sp)
-		}
+		// The request never made it into the queue: report the local copy
+		// with the enqueue instant rolled back.
+		sp.Enqueued = obs.NoOffset
+		s.unserved(route, &sp, obs.OutcomeShedQueueFull)
 		return nil, fmt.Errorf("serve: admission queue full (depth %d): %w", s.cfg.QueueDepth, ErrOverloaded)
 	}
 
 	resp := <-r.done
 	return resp.res, resp.err
+}
+
+// begin opens a request's accounting: the offered bump and, only when
+// tracing is armed, its span — the untraced path reads no clock and
+// allocates nothing (the span lives on the caller's stack).
+func (s *Service) begin(route, client string) (sp obs.SpanRecord, sampled bool) {
+	if tr := s.tracer; tr != nil {
+		sp = obs.NewSpanRecord(s.cfg.Clock.Now())
+		sp.ID, sampled = tr.Begin()
+		sp.Route, sp.Client = route, client
+	}
+	s.metrics.Offered(route)
+	return sp, sampled
+}
+
+// unserved is the one exit of a request that ends without an answer
+// (every obs.Outcome* but served): it counts the outcome into the route's
+// metrics and, when tracing, stamps it on the span and emits it — such a
+// span is an anomaly, kept at any sample rate. route is explicit because
+// an untraced request's sp.Route is empty. Callers release s.mu first.
+func (s *Service) unserved(route string, sp *obs.SpanRecord, outcome string) {
+	s.metrics.Unserved(route, outcome)
+	if s.tracer != nil {
+		sp.Outcome = outcome
+		s.tracer.Emit(*sp)
+	}
 }
 
 // batcher coalesces queued requests into batches: it opens a batch on the
@@ -525,11 +519,7 @@ func (s *Service) worker(rep Replica, h *workerHandle) {
 				r.sp.Pickup = r.sp.Offset(now)
 			}
 			if !r.deadline.IsZero() && now.After(r.deadline) {
-				s.metrics.Shed(r.route)
-				if tr != nil {
-					r.sp.Outcome = obs.OutcomeShedDeadlineBatch
-					tr.Emit(r.sp)
-				}
+				s.unserved(r.route, &r.sp, obs.OutcomeShedDeadlineBatch)
 				r.done <- response{err: fmt.Errorf("serve: deadline exceeded before service: %w", ErrOverloaded)}
 				continue
 			}
@@ -567,24 +557,20 @@ func (s *Service) worker(rep Replica, h *workerHandle) {
 				kDelta[i] = kAfter[i] - kBefore[i]
 			}
 		}
-		finishSpan := func(r *request, outcome string) {
+		stampInfer := func(r *request) {
 			r.sp.InferStart = r.sp.Offset(inferStart)
 			r.sp.InferEnd = r.sp.Offset(done)
 			r.sp.Batch = len(live)
 			r.sp.MatMulNS = kDelta[obs.KernelMatMul]
 			r.sp.ConvNS = kDelta[obs.KernelConv]
 			r.sp.AttnNS = kDelta[obs.KernelAttention]
-			r.sp.Outcome = outcome
-			if r.traced || r.sp.Anomaly() {
-				tr.Emit(r.sp)
-			}
 		}
 		if err != nil {
 			for _, r := range live {
-				s.metrics.Error(r.route)
 				if tr != nil {
-					finishSpan(r, obs.OutcomeError)
+					stampInfer(r)
 				}
+				s.unserved(r.route, &r.sp, obs.OutcomeError)
 				r.done <- response{err: fmt.Errorf("serve: replica failed: %w", err)}
 			}
 			continue
@@ -593,7 +579,11 @@ func (s *Service) worker(rep Replica, h *workerHandle) {
 			row := logits.Row(i).Clone()
 			s.metrics.Served(r.route, done.Sub(r.enqueued), len(live))
 			if tr != nil {
-				finishSpan(r, obs.OutcomeServed)
+				stampInfer(r)
+				r.sp.Outcome = obs.OutcomeServed
+				if r.traced || r.sp.Anomaly() {
+					tr.Emit(r.sp)
+				}
 			}
 			r.done <- response{res: &Result{
 				Logits:    row,

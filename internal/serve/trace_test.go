@@ -309,11 +309,11 @@ func TestMetricsSnapshotRace(t *testing.T) {
 				m.Offered(route)
 				switch i % 5 {
 				case 0:
-					m.Shed(route)
+					m.Unserved(route, obs.OutcomeShedDetect)
 				case 1:
-					m.Rejected(route)
+					m.Unserved(route, obs.OutcomeRejected)
 				case 2:
-					m.Error(route)
+					m.Unserved(route, obs.OutcomeError)
 				default:
 					m.Served(route, time.Duration(i)*time.Microsecond, 1+i%4)
 				}
