@@ -12,18 +12,14 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"pelta/internal/attack"
 	"pelta/internal/autograd"
 	"pelta/internal/core"
 	"pelta/internal/dataset"
 	"pelta/internal/eval"
-	"pelta/internal/fl"
 	"pelta/internal/models"
-	"pelta/internal/serve"
 	"pelta/internal/tee"
 	"pelta/internal/tensor"
 )
@@ -69,7 +65,7 @@ func BenchmarkTable1EnclaveFootprints(b *testing.B) {
 // actually used (Table II, rescaled for the synthetic datasets).
 func BenchmarkTable2AttackParameters(b *testing.B) {
 	set := eval.DefaultAttackSet()
-	fmt.Println("\n=== Table II — attack parameters (rescaled, see EXPERIMENTS.md) ===")
+	fmt.Println("\n=== Table II — attack parameters (rescaled, see eval.AttackSet) ===")
 	fmt.Printf("FGSM  ε=%.3f\n", set.Eps)
 	fmt.Printf("PGD   ε=%.3f ε_step=%.4f steps=%d\n", set.Eps, set.EpsStep, set.Steps)
 	fmt.Printf("MIM   ε=%.3f ε_step=%.4f µ=1.0\n", set.Eps, set.EpsStep)
@@ -147,50 +143,6 @@ func BenchmarkTable4EnsembleSAGA(b *testing.B) {
 	}
 }
 
-// BenchmarkOracleGradCE times the attack-iteration primitive — one gradient
-// query against the clear ViT oracle — and reports allocations so pooling
-// regressions are visible.
-func BenchmarkOracleGradCE(b *testing.B) {
-	blk := benchBlock(b)
-	x, y, err := eval.SelectCorrect([]models.Model{blk.ViT}, blk.Val, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	o := &attack.ClearOracle{M: blk.ViT}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := o.GradCE(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOracleGradCEShielded times one restricted-white-box gradient
-// query: a shielded Query plus the upsampled adjoint.
-func BenchmarkOracleGradCEShielded(b *testing.B) {
-	blk := benchBlock(b)
-	x, y, err := eval.SelectCorrect([]models.Model{blk.ViT}, blk.Val, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sm, err := core.NewShieldedModel(blk.ViT, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	o, err := attack.NewShieldedOracle(sm, 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := o.GradCE(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAPGDClearOracle times full APGD runs (10 steps, 4 samples)
 // against the clear ViT — the iterative-attack wall-clock the pooled engine
 // targets.
@@ -247,167 +199,6 @@ func BenchmarkFig4Perturbations(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := sm.Query(x, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeThroughput measures the serving subsystem end to end: 8
-// concurrent clients submitting single samples through the micro-batching
-// scheduler, across a {replicas × max-batch} grid, against a sequential
-// single-replica Query loop baseline. ns/op is per served request. Replica
-// scaling is core-bound (each replica is one worker goroutine); batching
-// amortizes the per-pass graph and enclave overhead even on one core.
-func BenchmarkServeThroughput(b *testing.B) {
-	blk := benchBlock(b)
-	hw := blk.Val.HW
-	n := blk.Val.Len()
-	if n > 32 {
-		n = 32
-	}
-	samples := make([]*tensor.Tensor, n)
-	batched := make([]*tensor.Tensor, n)
-	for i := range samples {
-		samples[i] = blk.Val.X.Slice(i)
-		batched[i] = blk.Val.X.Slice(i).Reshape(1, 3, hw, hw)
-	}
-	// Every replica needs its own model copy over the same trained
-	// weights: ShieldedModel is sequential-only.
-	weights := fl.Snapshot(blk.ViT)
-	cloneModel := func(seed int64) (models.Model, error) {
-		m := models.NewViT(blk.ViT.Cfg, tensor.NewRNG(seed))
-		if err := fl.Apply(m, weights); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-
-	b.Run("sequential/replicas=1", func(b *testing.B) {
-		m, err := cloneModel(900)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sm, err := core.NewShieldedModel(m, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sm.Query(batched[0], nil); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sm.Query(batched[i%n], nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	for _, rep := range []int{1, 2, 4} {
-		for _, mb := range []int{1, 8} {
-			b.Run(fmt.Sprintf("replicas=%d/batch=%d", rep, mb), func(b *testing.B) {
-				pool, err := serve.NewShieldedPool(rep, 0, func(i int) (models.Model, error) {
-					return cloneModel(1000 + int64(i))
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				svc := serve.NewService(pool, serve.Config{
-					MaxBatch: mb, MaxDelay: 500 * time.Microsecond, QueueDepth: 256,
-				})
-				defer svc.Close()
-				if _, err := svc.Submit("bench", samples[0], time.Time{}); err != nil {
-					b.Fatal(err)
-				}
-				const clients = 8
-				b.ReportAllocs()
-				b.ResetTimer()
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for {
-							i := int(next.Add(1)) - 1
-							if i >= b.N {
-								return
-							}
-							if _, err := svc.Submit("bench", samples[i%n], time.Time{}); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-			})
-		}
-	}
-}
-
-// BenchmarkEnclaveWorldSwitch measures the §VI store/load overhead of the
-// simulated TrustZone boundary for a Table-I-sized payload.
-func BenchmarkEnclaveWorldSwitch(b *testing.B) {
-	payload := tensor.NewRNG(1).Normal(0, 1, 256, 256) // 256 KB
-	b.SetBytes(payload.Bytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, tok, err := tee.NewEnclave("bench", 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Store("x", payload); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Load(tok, "x"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkShieldedVsClearInference quantifies the defender-side cost of
-// Pelta at inference time (§VI): a clear forward vs a shielded Query.
-func BenchmarkShieldedVsClearInference(b *testing.B) {
-	blk := benchBlock(b)
-	x := blk.Val.X.Slice(0).Reshape(1, 3, blk.Val.HW, blk.Val.HW)
-	b.Run("clear", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			models.Logits(blk.ViT, x)
-		}
-	})
-	b.Run("shielded", func(b *testing.B) {
-		sm, err := core.NewShieldedModel(blk.ViT, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sm.Query(x, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkSection6Overheads regenerates the §VI system-implications
-// numbers: world switches, secure-channel traffic and modelled TEE overhead
-// per shielded inference for each defender family.
-func BenchmarkSection6Overheads(b *testing.B) {
-	blk := benchBlock(b)
-	var rows []*eval.OverheadReport
-	for _, m := range blk.Defenders {
-		rep, err := eval.MeasureOverhead(m, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = append(rows, rep)
-	}
-	fmt.Println("\n=== §VI — TEE overheads per shielded inference ===")
-	fmt.Print(eval.RenderOverhead(rows))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.MeasureOverhead(blk.ViT, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -533,8 +324,8 @@ func BenchmarkNegativeControlSquare(b *testing.B) {
 }
 
 // BenchmarkAblationShieldDepth sweeps the Select depth of Algorithm 1 —
-// the defender's only knob — reporting enclave bytes per depth (the
-// DESIGN.md ablation: deeper shields cost more secure memory).
+// the defender's only knob — reporting enclave bytes per depth (deeper
+// shields cost more secure memory).
 func BenchmarkAblationShieldDepth(b *testing.B) {
 	blk := benchBlock(b)
 	x := blk.Val.X.Slice(0).Reshape(1, 3, blk.Val.HW, blk.Val.HW)

@@ -33,11 +33,10 @@
 //     (shieldtaint confidentiality tracking, errpath, lockorder,
 //     clockcomplete); cmd/peltalint is the CLI / CI gate
 //
-// bench_test.go regenerates every table and figure; cmd/peltabench is the
-// command-line entry point, cmd/flsim runs federations and scenario sweeps,
-// cmd/peltaserve serves shielded inference over HTTP (with a built-in load
-// generator), and examples/ holds runnable scenarios.
+// bench_test.go regenerates every table and figure; timings live in the
+// seeded bench/ module (its own go.mod, declared by BENCHMARK.json), not
+// here. cmd/peltabench is the command-line entry point, cmd/flsim runs
+// federations and scenario sweeps, cmd/peltaserve serves shielded inference
+// over HTTP (with a built-in load generator), and examples/ holds runnable
+// scenarios.
 package pelta
-
-// Version identifies this reproduction release.
-const Version = "1.9.0"

@@ -15,6 +15,12 @@
 // tensors returned by an oracle are valid only until its next query; callers
 // that need them longer must Clone them.
 //
+// SubstituteStemOracle is the adaptive attacker of §IV-C: it distills its
+// own stem against the shielded model's observable logits on the shared
+// models.Trainer — the stem parameters are the ones it moves, mean-squared
+// error to the teacher is the objective — and so inherits the trainer's
+// arena, batch schedule and batch-size default.
+//
 // RecordingOracle wraps any oracle and clones every queried sample, turning
 // an attack run into the query stream a serving defender would have seen —
 // the trace source of the internal/serve probe-detection harness.

@@ -6,7 +6,6 @@ import (
 	"pelta/internal/autograd"
 	"pelta/internal/core"
 	"pelta/internal/models"
-	"pelta/internal/nn"
 	"pelta/internal/tensor"
 )
 
@@ -81,54 +80,26 @@ func copyClearLayers(dst, src *models.ViT) {
 	}
 }
 
-// distill trains only the substitute's stem parameters so that the full
-// substitute matches the victim's observable logits on the attacker's data.
+// distill trains only the substitute's stem parameters, on the shared
+// mini-batch trainer, so that the full substitute matches the victim's
+// observable logits on the attacker's data.
 func (o *SubstituteStemOracle) distill(x *tensor.Tensor, budget SubstituteBudget) error {
-	stem := map[string]bool{}
-	for _, p := range o.substitute.ShieldedParams() {
-		stem[p.Name] = true
-	}
-	opt := nn.NewAdam(o.substitute.ShieldedParams(), budget.LR)
-	rng := tensor.NewRNG(budget.Seed)
-	n := x.Dim(0)
-	for ep := 0; ep < budget.Epochs; ep++ {
-		perm := rng.Perm(n)
-		for start := 0; start < n; start += budget.BatchSize {
-			end := start + budget.BatchSize
-			if end > n {
-				end = n
-			}
-			bx, _, err := models.Batch(x, make([]int, n), perm[start:end])
-			if err != nil {
-				return fmt.Errorf("attack: batching substitute inputs: %w", err)
-			}
-			// Teacher signal: the shielded model's logits (observable).
-			res, err := o.victim.Query(bx, nil)
-			if err != nil {
-				return fmt.Errorf("attack: querying teacher: %w", err)
-			}
-			// Student pass: MSE to the teacher logits, gradients flow
-			// only into the stem (the clear layers' grads are discarded).
-			g := autograd.NewGraph()
-			_, logits := o.substitute.Forward(g, g.Input(bx, "x"))
-			loss := g.Mean(func() *autograd.Value {
-				diff := g.Sub(logits, g.Const(res.Logits, "teacher"))
-				return g.Mul(diff, diff)
-			}())
-			g.Backward(loss)
-			// Zero non-stem grads so Adam only moves the stem.
-			for _, p := range o.substitute.Params() {
-				if !stem[p.Name] {
-					p.ZeroGrad()
-				}
-			}
-			opt.Step()
-			for _, p := range o.substitute.Params() {
-				p.ZeroGrad()
-			}
+	tr := models.NewTrainer(o.substitute, o.substitute.ShieldedParams(), budget.LR)
+	cfg := models.TrainConfig{Epochs: budget.Epochs, BatchSize: budget.BatchSize, Seed: budget.Seed}
+	_, err := tr.Fit(x, make([]int, x.Dim(0)), cfg, func(bx *tensor.Tensor, _ []int) (float64, error) {
+		// Teacher signal: the shielded model's logits (observable).
+		res, err := o.victim.Query(bx, nil)
+		if err != nil {
+			return 0, fmt.Errorf("attack: querying teacher: %w", err)
 		}
-	}
-	return nil
+		// Student pass: MSE to the teacher logits; the trainer moves only
+		// the stem and discards the clear layers' gradients.
+		return tr.Step(bx, nil, func(g *autograd.Graph, logits *autograd.Value) *autograd.Value {
+			diff := g.Sub(logits, g.Const(res.Logits, "teacher"))
+			return g.Mean(g.Mul(diff, diff))
+		}, nil)
+	})
+	return err
 }
 
 // Name implements Oracle.

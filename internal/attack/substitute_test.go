@@ -1,7 +1,11 @@
 package attack
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
+	"time"
 
 	"pelta/internal/core"
 	"pelta/internal/models"
@@ -152,5 +156,65 @@ func TestTargetedFGSMAndPGD(t *testing.T) {
 	}
 	if hitF == 0 {
 		t.Log("targeted FGSM hit nothing (acceptable for one-step), PGD covered the property")
+	}
+}
+
+// The hash below was taken at the commit where distill still owned its own
+// epoch loop, heap graph per batch and optimizer; distillation over the
+// shared models.Trainer must reproduce it bit for bit.
+func TestSubstituteDistillGoldenBits(t *testing.T) {
+	const want uint64 = 1364195492393563672
+	m, x, _ := setup(t)
+	sm, err := core.NewShieldedModel(m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := NewSubstituteStemOracle(sm, m, x, SubstituteBudget{Epochs: 2, BatchSize: 10, LR: 2e-3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b [4]byte
+	for _, p := range sub.substitute.Params() {
+		for _, v := range p.Data.Data() {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+			h.Write(b[:])
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("distilled substitute hash %d, want %d — the distillation arithmetic or batch schedule changed", got, want)
+	}
+}
+
+// A zero-value budget's BatchSize 0 used to spin distill forever; it now
+// means the shared trainer's default of 32.
+func TestSubstituteZeroBatchBudgetReturns(t *testing.T) {
+	m, x, _ := setup(t)
+	sm, err := core.NewShieldedModel(m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *SubstituteStemOracle, 1)
+	go func() {
+		sub, err := NewSubstituteStemOracle(sm, m, x, SubstituteBudget{Epochs: 1, LR: 2e-3})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- sub
+	}()
+	select {
+	case sub := <-done:
+		if sub == nil {
+			t.Fatal("no substitute")
+		}
+		for _, p := range sub.substitute.Params() {
+			for _, v := range p.Data.Data() {
+				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+					t.Fatalf("distilled %s holds %v", p.Name, v)
+				}
+			}
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("NewSubstituteStemOracle did not return")
 	}
 }

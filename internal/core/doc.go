@@ -11,4 +11,9 @@
 // queries sequentially; concurrent attackers each build their own (or fan
 // out through attack.ParallelOracle). Query results are deterministic —
 // shielding changes what is visible, never the numbers computed.
+//
+// EnclaveTrainer is §VI's enclave-resident training. It owns no optimizer
+// and no epoch loop: it keeps one models.Trainer for life (its Adam moments
+// persist across calls) and hooks its Step — the fresh shielded gradients are
+// accumulated into the enclave before the shared Adam update.
 package core

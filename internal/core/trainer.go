@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"pelta/internal/autograd"
 	"pelta/internal/models"
@@ -18,76 +17,40 @@ import (
 // which the weight updates are pulled out of the enclave could be lowered
 // to allow averaging hidden gradients over larger batches").
 type EnclaveTrainer struct {
-	sm  *ShieldedModel
-	tok tee.Token
-	// LR is the SGD learning rate applied inside the secure world for the
-	// shielded parameters and in the normal world for the clear ones.
-	LR float32
+	sm *ShieldedModel
 	// SyncEvery is the number of batches accumulated before the hidden
 	// update is exported across the boundary.
 	SyncEvery int
 
-	shielded map[string]bool
+	// tr is the shared mini-batch trainer, kept for life so its Adam
+	// moments persist across calls. Moments of shielded parameters
+	// conceptually reside in the secure world alongside the parameters.
+	tr       *models.Trainer
+	shielded []*autograd.Param
 	batchNo  int
 	// pending counts hidden-gradient bytes awaiting export.
 	pendingBytes int64
 	// Exports counts boundary crossings of hidden updates.
 	Exports int
-
-	// Adam state. Moments of shielded parameters conceptually reside in
-	// the secure world alongside the parameters themselves; moments of
-	// clear parameters live in the normal world.
-	step int
-	m, v map[string]*tensor.Tensor
-
-	// g is the trainer's reusable pooled graph arena, swept between steps.
-	g *autograd.Graph
 }
 
-// NewEnclaveTrainer wires a trainer to a shielded model. The enclave owner
-// token stays inside the trainer (defender side).
+// NewEnclaveTrainer wires a trainer to a shielded model; lr is the Adam
+// learning rate of shielded and clear parameters alike. The enclave owner
+// token stays with the shielded model (defender side).
 func NewEnclaveTrainer(sm *ShieldedModel, lr float32, syncEvery int) (*EnclaveTrainer, error) {
 	if syncEvery < 1 {
 		return nil, fmt.Errorf("core: SyncEvery must be ≥ 1, got %d", syncEvery)
 	}
-	shielded := make(map[string]bool)
-	for _, p := range sm.model.ShieldedParams() {
-		shielded[p.Name] = true
-	}
+	shielded := sm.model.ShieldedParams()
 	if len(shielded) == 0 {
 		return nil, fmt.Errorf("core: model %s declares no shielded parameters", sm.Name())
 	}
 	return &EnclaveTrainer{
 		sm:        sm,
-		tok:       sm.token,
-		LR:        lr,
 		SyncEvery: syncEvery,
+		tr:        models.NewTrainer(sm.model, nil, float64(lr)),
 		shielded:  shielded,
-		m:         make(map[string]*tensor.Tensor),
-		v:         make(map[string]*tensor.Tensor),
 	}, nil
-}
-
-// adamUpdate applies one Adam step to p from its current gradient.
-func (t *EnclaveTrainer) adamUpdate(p *autograd.Param) {
-	const beta1, beta2, eps = 0.9, 0.999, 1e-8
-	m, ok := t.m[p.Name]
-	if !ok {
-		m = tensor.New(p.Data.Shape()...)
-		t.m[p.Name] = m
-		t.v[p.Name] = tensor.New(p.Data.Shape()...)
-	}
-	v := t.v[p.Name]
-	bc1 := 1 - math.Pow(beta1, float64(t.step))
-	bc2 := 1 - math.Pow(beta2, float64(t.step))
-	md, vd, gd, wd := m.Data(), v.Data(), p.Grad.Data(), p.Data.Data()
-	for i := range gd {
-		g := float64(gd[i])
-		mi := beta1*float64(md[i]) + (1-beta1)*g
-		vi := beta2*float64(vd[i]) + (1-beta2)*g*g
-		md[i], vd[i] = float32(mi), float32(vi)
-		wd[i] -= float32(float64(t.LR) * (mi / bc1) / (math.Sqrt(vi/bc2) + eps))
-	}
 }
 
 // Model returns the defender model being trained.
@@ -100,53 +63,36 @@ func (t *EnclaveTrainer) Enclave() *tee.Enclave { return t.sm.enclave }
 // gradient between exports.
 func accumKey(name string) string { return "trainer/accum/" + name }
 
-// Step trains on one batch and returns the mean loss. Shielded-parameter
-// gradients are stored into the enclave accumulators; clear parameters are
-// updated in place immediately.
+// Step trains on one batch and returns the mean loss. Before the shared
+// Adam update, the fresh shielded-parameter gradients are accumulated into
+// the enclave; no gradient rests in the normal world on return.
 func (t *EnclaveTrainer) Step(x *tensor.Tensor, y []int) (float64, error) {
-	m := t.sm.model
-	m.SetTraining(true)
-	defer m.SetTraining(false)
-
-	if t.g == nil {
-		t.g = autograd.NewGraphWithPool(tensor.NewPool())
+	loss, err := t.tr.Step(x, y, nil, t.accumulate)
+	if err != nil {
+		return 0, err
 	}
-	g := t.g
-	g.Release()
-	_, logits := m.Forward(g, g.Input(x, "x"))
-	loss, _ := g.CrossEntropy(logits, y, autograd.ReduceMean)
-	g.Backward(loss)
-
-	t.step++
-	e := t.sm.enclave
-	for _, p := range m.Params() {
-		if !t.shielded[p.Name] {
-			// Clear segment: the update happens in the normal world.
-			t.adamUpdate(p)
-			p.ZeroGrad()
-			continue
-		}
-		// Shielded segment: the gradient never rests in the normal world.
-		// Accumulation is enclave-resident computation — no boundary
-		// crossing is metered until the export.
-		key := accumKey(p.Name)
-		if err := e.Accumulate(t.tok, key, p.Grad); err != nil {
-			return 0, fmt.Errorf("core: accumulating %q: %w", key, err)
-		}
-		t.pendingBytes += p.Grad.Bytes()
-		// The secure world applies the update to its copy; in this
-		// simulation the parameter tensor doubles as the enclave copy.
-		t.adamUpdate(p)
-		p.ZeroGrad()
-	}
-
 	t.batchNo++
 	if t.batchNo%t.SyncEvery == 0 {
 		if _, err := t.ExportHidden(); err != nil {
 			return 0, err
 		}
 	}
-	return float64(loss.Data.Data()[0]), nil
+	return loss, nil
+}
+
+// accumulate adds every shielded gradient to its enclave accumulator —
+// enclave-resident computation, no boundary crossing is metered until the
+// export. The update that follows is the secure world's: in this simulation
+// the parameter tensor doubles as the enclave copy.
+func (t *EnclaveTrainer) accumulate() error {
+	for _, p := range t.shielded {
+		key := accumKey(p.Name)
+		if err := t.sm.enclave.Accumulate(t.sm.token, key, p.Grad); err != nil {
+			return fmt.Errorf("core: accumulating %q: %w", key, err)
+		}
+		t.pendingBytes += p.Grad.Bytes()
+	}
+	return nil
 }
 
 // ExportHidden pulls the accumulated hidden gradients out of the enclave
@@ -156,17 +102,17 @@ func (t *EnclaveTrainer) Step(x *tensor.Tensor, y []int) (float64, error) {
 func (t *EnclaveTrainer) ExportHidden() (map[string]*tensor.Tensor, error) {
 	e := t.sm.enclave
 	out := make(map[string]*tensor.Tensor, len(t.shielded))
-	for name := range t.shielded {
-		key := accumKey(name)
+	for _, p := range t.shielded {
+		key := accumKey(p.Name)
 		if !e.Has(key) {
 			continue
 		}
-		acc, err := e.Load(t.tok, key)
+		acc, err := e.Load(t.sm.token, key)
 		if err != nil {
 			return nil, fmt.Errorf("core: exporting %q: %w", key, err)
 		}
-		out[name] = acc
-		if err := e.Flush(t.tok, key); err != nil {
+		out[p.Name] = acc
+		if err := e.Flush(t.sm.token, key); err != nil {
 			return nil, err
 		}
 	}
@@ -179,33 +125,9 @@ func (t *EnclaveTrainer) ExportHidden() (map[string]*tensor.Tensor, error) {
 // export (the bandwidth §VI trades against update freshness).
 func (t *EnclaveTrainer) PendingBytes() int64 { return t.pendingBytes }
 
-// TrainEpochs runs full epochs over (x, y) with the given batch size and
-// returns per-epoch mean losses, mirroring models.Train but under the
-// enclave regime.
+// TrainEpochs runs full epochs over (x, y) on the schedule of models.Train
+// (batch ≤ 0 means 32) but under the enclave regime, and returns per-epoch
+// mean losses.
 func (t *EnclaveTrainer) TrainEpochs(x *tensor.Tensor, y []int, epochs, batch int, seed int64) ([]float64, error) {
-	n := x.Dim(0)
-	rng := tensor.NewRNG(seed)
-	losses := make([]float64, 0, epochs)
-	for ep := 0; ep < epochs; ep++ {
-		perm := rng.Perm(n)
-		total, count := 0.0, 0
-		for start := 0; start < n; start += batch {
-			end := start + batch
-			if end > n {
-				end = n
-			}
-			bx, by, err := models.Batch(x, y, perm[start:end])
-			if err != nil {
-				return losses, fmt.Errorf("core: epoch %d: %w", ep, err)
-			}
-			l, err := t.Step(bx, by)
-			if err != nil {
-				return losses, fmt.Errorf("core: epoch %d: %w", ep, err)
-			}
-			total += l
-			count++
-		}
-		losses = append(losses, total/float64(count))
-	}
-	return losses, nil
+	return t.tr.Fit(x, y, models.TrainConfig{Epochs: epochs, BatchSize: batch, Seed: seed}, t.Step)
 }

@@ -1,6 +1,6 @@
 // Package dataset provides procedurally generated, class-separable image
 // datasets standing in for CIFAR-10, CIFAR-100 and ImageNet (which cannot be
-// downloaded in this offline reproduction; see DESIGN.md §1).
+// downloaded in this offline reproduction).
 //
 // Every class has a deterministic prototype image built from a few random
 // low-frequency sinusoidal patterns; samples are noisy, brightness-jittered

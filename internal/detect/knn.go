@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -23,17 +22,6 @@ func (m Metric) String() string {
 		return "l2"
 	}
 	return "cosine"
-}
-
-// ParseMetric parses "cosine" or "l2".
-func ParseMetric(s string) (Metric, error) {
-	switch s {
-	case "cosine":
-		return Cosine, nil
-	case "l2":
-		return L2, nil
-	}
-	return 0, fmt.Errorf("detect: metric %q, want cosine or l2", s)
 }
 
 // Distance returns the metric distance between two equal-length vectors.

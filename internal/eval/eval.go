@@ -46,7 +46,7 @@ func RobustAccuracy(m models.Model, xadv *tensor.Tensor, y []int) float64 {
 
 // AttackSet builds the Table II attack roster for a given ε budget. The ε
 // values are rescaled relative to the paper (0.031/0.062) because the
-// synthetic datasets have wider class margins; see EXPERIMENTS.md.
+// synthetic datasets have wider class margins.
 type AttackSet struct {
 	Eps     float32
 	EpsStep float32
@@ -85,7 +85,7 @@ func (s AttackSet) Random() *attack.RandomUniform {
 // behaviour of the random kernel concentrates and one draw is typical; at
 // this reproduction's reduced scale a single kernel occasionally aligns
 // with the true backward operator by chance, so the harness reports the
-// median robust accuracy over several draws (see EXPERIMENTS.md).
+// median robust accuracy over several draws.
 const KernelDraws = 3
 
 // Median returns the median of a non-empty slice (its input is sorted in

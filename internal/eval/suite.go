@@ -10,8 +10,8 @@ import (
 
 // Block is one dataset block of the evaluation: the trained defenders of
 // §V-A1/2 plus the validation data. The models are scaled-down variants
-// carrying the paper's architecture names (see DESIGN.md §1: attacks act on
-// the computational-graph structure, which the variants preserve).
+// carrying the paper's architecture names: attacks act on the
+// computational-graph structure, which the variants preserve.
 type Block struct {
 	Name      string
 	Train     *dataset.Dataset
@@ -39,7 +39,7 @@ type BlockConfig struct {
 func QuickBlockConfig(ds dataset.Config) BlockConfig {
 	ds.HW = 16
 	if ds.Classes > 20 {
-		ds.Classes = 20 // scaled-down class count, documented in EXPERIMENTS.md
+		ds.Classes = 20 // scaled-down class count
 	}
 	ds.TrainN, ds.ValN = 800, 240
 	return BlockConfig{

@@ -388,47 +388,3 @@ func TestAsyncQuorumAbsorbsStragglers(t *testing.T) {
 		t.Fatalf("stats = %+v: the straggler's updates never merged late", st)
 	}
 }
-
-// --- throughput ---------------------------------------------------------
-
-// benchFleet builds 8 stub clients with one straggler — the heterogeneous
-// fleet of a real FL deployment, minus the training cost (the engine is
-// what's being measured).
-func benchFleet(m models.Model) []Conn {
-	w := Snapshot(m)
-	conns := make([]Conn, 8)
-	for i := range conns {
-		delay := 2 * time.Millisecond
-		if i == 7 {
-			delay = 16 * time.Millisecond // the straggler
-		}
-		conns[i] = &stubConn{name: fmt.Sprintf("c%d", i), w: w, n: 10, delay: delay}
-	}
-	return conns
-}
-
-// BenchmarkRoundThroughputSequential8 measures the sequential regime: one
-// worker serially visits all 8 clients and barriers on the straggler.
-func BenchmarkRoundThroughputSequential8(b *testing.B) {
-	m := newTestModel(99)
-	srv := sequentialServer(m, benchFleet(m), b.N)
-	b.ResetTimer()
-	if _, err := srv.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkRoundThroughputAsync8 measures the async engine on the same
-// fleet: concurrent workers, quorum 4, stragglers absorbed via staleness.
-func BenchmarkRoundThroughputAsync8(b *testing.B) {
-	m := newTestModel(99)
-	srv := &AsyncServer{
-		Global: m,
-		Conns:  benchFleet(m),
-		Config: AsyncConfig{Rounds: b.N, Quorum: 4, Workers: 8, MaxStaleness: 4},
-	}
-	b.ResetTimer()
-	if _, err := srv.Run(); err != nil {
-		b.Fatal(err)
-	}
-}

@@ -136,20 +136,15 @@ func (c *ModelReplacementClient) Update(req UpdateRequest) (UpdateResponse, erro
 			c.flipped.Y[i] = (y + 1) % sh.Classes
 		}
 	}
-	now := nowOr(c.Honest.Now)
-	t0 := now()
-	if _, err := models.Train(c.Honest.Model, c.flipped.X, c.flipped.Y, c.Honest.Train); err != nil {
-		return UpdateResponse{}, fmt.Errorf("fl: poisoner %s training: %w", c.ID(), err)
+	resp, err := c.Honest.fit(req.Round, c.flipped)
+	if err != nil {
+		return UpdateResponse{}, err
 	}
 	boost := c.Boost
 	if boost < 1 {
 		boost = 1
 	}
-	return UpdateResponse{
-		ClientID: c.ID(),
-		Weights:  boostDelta(req.Weights, Snapshot(c.Honest.Model), boost),
-		Samples:  c.flipped.Len(),
-		Note:     fmt.Sprintf("model-replacement poison (boost=%g)", boost),
-		TrainNS:  now().Sub(t0).Nanoseconds(),
-	}, nil
+	resp.Weights = boostDelta(req.Weights, resp.Weights, boost)
+	resp.Note = fmt.Sprintf("model-replacement poison (boost=%g)", boost)
+	return resp, nil
 }

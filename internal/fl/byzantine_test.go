@@ -3,7 +3,9 @@ package fl
 import (
 	"math"
 	"testing"
+	"time"
 
+	"pelta/internal/attack"
 	"pelta/internal/dataset"
 	"pelta/internal/models"
 )
@@ -176,6 +178,36 @@ func TestNaNBombContained(t *testing.T) {
 		}
 		if nonFinite(Snapshot(global)) {
 			t.Fatalf("%s: the global model carries a non-finite coordinate", name)
+		}
+	}
+}
+
+// The malicious trainers go through HonestClient.fit, so they fill the same
+// telemetry an honest client does: TrainNS measured on the injected clock
+// (two reads, one tick apart) and Samples counting the set they trained on.
+func TestMaliciousTrainersReportFitTelemetry(t *testing.T) {
+	train, _ := flDataset(t)
+	shard := train.Shards(4)[0]
+	tc := models.TrainConfig{Epochs: 1, BatchSize: 16, LR: 1e-3, Seed: 5}
+	req := UpdateRequest{Round: 1, Weights: Snapshot(newTestModel(44))}
+
+	poisoner := NewPoisoningClient("eve", newTestModel(45), shard, tc, &attack.FGSM{Eps: 0.1}, 0.25, false)
+	poisoner.Honest.Now = newTickClock(time.Millisecond).Now
+	replacer := NewModelReplacementClient("mallory", newTestModel(46), shard, tc, 4)
+	replacer.Honest.Now = newTickClock(time.Millisecond).Now
+	for _, c := range []Client{poisoner, replacer} {
+		resp, err := c.Update(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ClientID != c.ID() || resp.Note == "" {
+			t.Fatalf("%s: response %q note %q", c.ID(), resp.ClientID, resp.Note)
+		}
+		if resp.TrainNS != time.Millisecond.Nanoseconds() {
+			t.Fatalf("%s: TrainNS = %d, want one 1ms tick", c.ID(), resp.TrainNS)
+		}
+		if resp.Samples != shard.Len() {
+			t.Fatalf("%s: samples = %d, want %d", c.ID(), resp.Samples, shard.Len())
 		}
 	}
 }

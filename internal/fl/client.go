@@ -62,15 +62,22 @@ func (c *HonestClient) Update(req UpdateRequest) (UpdateResponse, error) {
 	if err := Apply(c.Model, req.Weights); err != nil {
 		return UpdateResponse{}, fmt.Errorf("fl: client %s applying round %d weights: %w", c.Name, req.Round, err)
 	}
+	return c.fit(req.Round, c.Shard)
+}
+
+// fit is the timed local-training step HonestClient, PoisoningClient and
+// ModelReplacementClient share: train c.Model on d, snapshot the result.
+// TrainNS covers training and the snapshot.
+func (c *HonestClient) fit(round int, d *dataset.Dataset) (UpdateResponse, error) {
 	now := nowOr(c.Now)
 	t0 := now()
-	if _, err := models.Train(c.Model, c.Shard.X, c.Shard.Y, c.Train); err != nil {
-		return UpdateResponse{}, fmt.Errorf("fl: client %s training round %d: %w", c.Name, req.Round, err)
+	if _, err := models.Train(c.Model, d.X, d.Y, c.Train); err != nil {
+		return UpdateResponse{}, fmt.Errorf("fl: client %s training round %d: %w", c.Name, round, err)
 	}
 	return UpdateResponse{
 		ClientID: c.Name,
 		Weights:  Snapshot(c.Model),
-		Samples:  c.Shard.Len(),
+		Samples:  d.Len(),
 		TrainNS:  now().Sub(t0).Nanoseconds(),
 	}, nil
 }

@@ -2,9 +2,12 @@
 // asynchronous round engine that scales it: a trusted aggregating server,
 // honest clients fine-tuning the broadcast model on local shards, and the
 // compromised/poisoning clients of the threat model that probe their local
-// copy for adversarial examples (the threat Pelta mitigates). Clients
-// attach either in-process or over TCP with a gob wire format (Conn,
-// ServeClient, Dial).
+// copy for adversarial examples (the threat Pelta mitigates). Local training
+// is entered in one place: HonestClient, PoisoningClient and
+// ModelReplacementClient share HonestClient.fit (timed models.Train +
+// Snapshot, filling Samples and TrainNS); only ShieldedHonestClient trains
+// through core.EnclaveTrainer instead. Clients attach either in-process or
+// over TCP with a gob wire format (Conn, ServeClient, Dial).
 //
 // AsyncServer is the one round engine: a Sampler draws a client cohort per
 // round, a goroutine worker pool runs their updates concurrently over the

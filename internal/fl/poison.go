@@ -64,18 +64,12 @@ func (c *PoisoningClient) Update(req UpdateRequest) (UpdateResponse, error) {
 		return UpdateResponse{}, fmt.Errorf("fl: poisoner %s crafting round %d: %w", c.ID(), req.Round, err)
 	}
 	c.PoisonedPerRound = append(c.PoisonedPerRound, effective)
-	now := nowOr(c.Honest.Now)
-	t0 := now()
-	if _, err := models.Train(c.Honest.Model, poisoned.X, poisoned.Y, c.Honest.Train); err != nil {
-		return UpdateResponse{}, fmt.Errorf("fl: poisoner %s training: %w", c.ID(), err)
+	resp, err := c.Honest.fit(req.Round, poisoned)
+	if err != nil {
+		return UpdateResponse{}, err
 	}
-	return UpdateResponse{
-		ClientID: c.ID(),
-		Weights:  Snapshot(c.Honest.Model),
-		Samples:  poisoned.Len(),
-		Note:     fmt.Sprintf("poisoned %d samples effectively (shielded=%v)", effective, c.Shield),
-		TrainNS:  now().Sub(t0).Nanoseconds(),
-	}, nil
+	resp.Note = fmt.Sprintf("poisoned %d samples effectively (shielded=%v)", effective, c.Shield)
+	return resp, nil
 }
 
 // poisonShard returns the shard with the first PoisonFrac samples replaced

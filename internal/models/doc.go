@@ -16,4 +16,16 @@
 // frozen weights are fine when each goroutine brings its own graph.
 // Train is deterministic for a fixed TrainConfig.Seed — batch order and
 // initialization derive from explicit RNGs, never global state.
+//
+// Trainer is the one mini-batch trainer every party runs: Train, the enclave
+// trainer of internal/core and the substitute distillation of
+// internal/attack are all NewTrainer + Fit. A Trainer owns its pooled graph
+// arena (swept at the start of every Step, never shared) and the Adam
+// moments of the parameters it moves; nil params means all of them, and
+// Model.Params() — which rebuilds its slice — is called once, in NewTrainer.
+// Step's nil loss is mean cross-entropy on the labels, so the default path
+// builds no closure per batch; its grads hook sees the fresh gradients
+// before the update, and every gradient, moved or frozen, is zero when Step
+// returns. Fit reuses one batch buffer (a step must not keep its batch),
+// reads a batch size ≤ 0 as 32 and returns errors instead of panicking.
 package models

@@ -19,103 +19,142 @@ type TrainConfig struct {
 	Verbose bool
 }
 
-// DefaultTrainConfig returns a configuration suited to the synthetic
-// datasets: a few Adam epochs reach high clean accuracy.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 5, BatchSize: 32, LR: 1e-3, Seed: 1}
+// Trainer is the repo's one mini-batch trainer: Adam over the parameters it
+// moves, one pooled graph arena swept between steps, and the seeded
+// permuted-batch schedule. Its Adam moments live as long as it does; it is
+// not safe for concurrent use.
+type Trainer struct {
+	m   Model
+	opt *nn.Adam
+	g   *autograd.Graph
+	// all is every parameter of m: Backward fills the gradients of the ones
+	// the optimizer does not move too, and Step clears them all.
+	all []*autograd.Param
 }
 
-// Train fits m on (x, y) with Adam + cross-entropy and returns the mean
-// loss of every epoch. x is [N,C,H,W]; y holds N labels. Mismatched
-// sample/label counts and out-of-range batch indices are reported as
-// errors, not panics: FL clients surface them through UpdateResponse so a
-// malformed shard fails its round loudly instead of corrupting the model.
-func Train(m Model, x *tensor.Tensor, y []int, cfg TrainConfig) ([]float64, error) {
+// NewTrainer builds a trainer that moves params (nil = every parameter of m)
+// at learning rate lr. Attack oracles and shielded queries may have left
+// gradients in the persistent parameters, so every gradient of m is cleared.
+func NewTrainer(m Model, params []*autograd.Param, lr float64) *Trainer {
+	t := &Trainer{m: m, g: autograd.NewGraphWithPool(tensor.NewPool()), all: m.Params()}
+	if params == nil {
+		params = t.all
+	}
+	t.opt = nn.NewAdam(params, lr)
+	t.zeroGrads()
+	return t
+}
+
+func (t *Trainer) zeroGrads() {
+	for _, p := range t.all {
+		p.ZeroGrad()
+	}
+}
+
+// Step runs one pass over the batch (x, y) — forward, objective, backward,
+// one Adam update — and returns the objective's value. loss builds the
+// scalar objective from the logits on the trainer's graph (nil = mean
+// cross-entropy against y); grads, when non-nil, sees the fresh gradients
+// before the update, and its error aborts the step. Every gradient of the
+// model is zero on return.
+func (t *Trainer) Step(x *tensor.Tensor, y []int, loss func(g *autograd.Graph, logits *autograd.Value) *autograd.Value, grads func() error) (float64, error) {
+	t.m.SetTraining(true)
+	defer t.m.SetTraining(false)
+	g := t.g
+	g.Release()
+	_, logits := t.m.Forward(g, g.Input(x, "x"))
+	var obj *autograd.Value
+	if loss != nil {
+		obj = loss(g, logits)
+	} else {
+		obj, _ = g.CrossEntropy(logits, y, autograd.ReduceMean)
+	}
+	g.Backward(obj)
+	defer t.zeroGrads()
+	if grads != nil {
+		if err := grads(); err != nil {
+			return 0, err
+		}
+	}
+	t.opt.Step()
+	return float64(obj.Data.Data()[0]), nil
+}
+
+// Fit runs cfg.Epochs epochs of seeded permuted mini-batches over (x, y)
+// through step (nil = t.Step with the default objective) and returns the
+// mean loss of every epoch. A batch size ≤ 0 means 32; cfg.LR is not read,
+// NewTrainer fixed the rate. Mismatched sample/label counts and failing
+// steps are errors, not panics.
+func (t *Trainer) Fit(x *tensor.Tensor, y []int, cfg TrainConfig, step func(x *tensor.Tensor, y []int) (float64, error)) ([]float64, error) {
 	n := x.Dim(0)
 	if n != len(y) {
 		return nil, fmt.Errorf("models: Train given %d samples but %d labels", n, len(y))
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32
+	if step == nil {
+		step = func(x *tensor.Tensor, y []int) (float64, error) { return t.Step(x, y, nil, nil) }
 	}
-	opt := nn.NewAdam(m.Params(), cfg.LR)
-	// Attack oracles and shielded queries may have accumulated gradients
-	// into the persistent parameters; start from a clean slate.
-	opt.ZeroGrad()
+	batch := cfg.BatchSize
+	if batch <= 0 {
+		batch = 32
+	}
+	batch = min(batch, n)
 	rng := tensor.NewRNG(cfg.Seed)
-	m.SetTraining(true)
-	defer m.SetTraining(false)
-
-	// One pooled arena serves every batch: the graph's tensors are swept
-	// back between steps, so steady-state training is allocation-free.
-	pool := tensor.NewPool()
-	g := autograd.NewGraphWithPool(pool)
-	bx := tensor.New(append([]int{cfg.BatchSize}, x.Shape()[1:]...)...)
-	by := make([]int, cfg.BatchSize)
+	// One batch buffer serves every step; the tail batch is a view of it.
+	bx := tensor.New(append([]int{batch}, x.Shape()[1:]...)...)
+	by := make([]int, batch)
 
 	losses := make([]float64, 0, cfg.Epochs)
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		perm := rng.Perm(n)
 		total, batches := 0.0, 0
-		for start := 0; start < n; start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > n {
-				end = n
+		for start := 0; start < n; start += batch {
+			idx := perm[start:min(start+batch, n)]
+			vx, vy := bx, by
+			if len(idx) < batch {
+				vx, vy = bx.SliceRange(0, len(idx)), by[:len(idx)]
 			}
-			idx := perm[start:end]
-			if len(idx) != bx.Dim(0) {
-				bx = tensor.New(append([]int{len(idx)}, x.Shape()[1:]...)...)
-				by = make([]int, len(idx))
+			gather(vx, vy, x, y, idx)
+			l, err := step(vx, vy)
+			if err != nil {
+				return losses, fmt.Errorf("models: epoch %d: %w", ep+1, err)
 			}
-			if err := gatherBatchInto(bx, by, x, y, idx); err != nil {
-				g.Release()
-				return losses, fmt.Errorf("models: Train epoch %d: %w", ep+1, err)
-			}
-			g.Release()
-			_, logits := m.Forward(g, g.Input(bx, "x"))
-			loss, _ := g.CrossEntropy(logits, by, autograd.ReduceMean)
-			g.Backward(loss)
-			opt.Step()
-			total += float64(loss.Data.Data()[0])
+			total += l
 			batches++
 		}
 		losses = append(losses, total/float64(batches))
 		if cfg.Verbose {
-			fmt.Printf("  %s epoch %d/%d: loss %.4f\n", m.Name(), ep+1, cfg.Epochs, losses[ep])
+			fmt.Printf("  %s epoch %d/%d: loss %.4f\n", t.m.Name(), ep+1, cfg.Epochs, losses[ep])
 		}
 	}
-	g.Release()
 	return losses, nil
 }
 
-// gatherBatch copies the samples at idx into a fresh batch tensor.
-func gatherBatch(x *tensor.Tensor, y []int, idx []int) (*tensor.Tensor, []int, error) {
-	shape := append([]int{len(idx)}, x.Shape()[1:]...)
-	bx := tensor.New(shape...)
-	by := make([]int, len(idx))
-	if err := gatherBatchInto(bx, by, x, y, idx); err != nil {
-		return nil, nil, err
+// Train fits m on (x, y) with Adam + cross-entropy and returns the mean
+// loss of every epoch. x is [N,C,H,W]; y holds N labels. Errors are
+// reported, not panicked: FL clients surface them through UpdateResponse so
+// a malformed shard fails its round loudly instead of corrupting the model.
+func Train(m Model, x *tensor.Tensor, y []int, cfg TrainConfig) ([]float64, error) {
+	return NewTrainer(m, nil, cfg.LR).Fit(x, y, cfg, nil)
+}
+
+// Batch copies the samples at idx into a fresh batch tensor, reporting
+// out-of-range indices instead of panicking deep inside CopyFrom.
+func Batch(x *tensor.Tensor, y []int, idx []int) (*tensor.Tensor, []int, error) {
+	for _, j := range idx {
+		if j < 0 || j >= x.Dim(0) || j >= len(y) {
+			return nil, nil, fmt.Errorf("models: batch index %d out of range over %d samples / %d labels", j, x.Dim(0), len(y))
+		}
 	}
+	bx := tensor.New(append([]int{len(idx)}, x.Shape()[1:]...)...)
+	by := make([]int, len(idx))
+	gather(bx, by, x, y, idx)
 	return bx, by, nil
 }
 
-// gatherBatchInto copies the samples at idx into pre-allocated buffers,
-// reporting shape mismatches instead of panicking deep inside CopyFrom.
-func gatherBatchInto(bx *tensor.Tensor, by []int, x *tensor.Tensor, y []int, idx []int) error {
-	if bx.Dim(0) != len(idx) || len(by) != len(idx) {
-		return fmt.Errorf("models: batch buffers sized for %d/%d samples, want %d", bx.Dim(0), len(by), len(idx))
-	}
+// gather copies the samples at idx, all in range, into buffers of len(idx).
+func gather(bx *tensor.Tensor, by []int, x *tensor.Tensor, y []int, idx []int) {
 	for i, j := range idx {
-		if j < 0 || j >= x.Dim(0) || j >= len(y) {
-			return fmt.Errorf("models: batch index %d out of range over %d samples / %d labels", j, x.Dim(0), len(y))
-		}
 		bx.Slice(i).CopyFrom(x.Slice(j))
 		by[i] = y[j]
 	}
-	return nil
-}
-
-// Batch exposes gatherBatch for evaluation code.
-func Batch(x *tensor.Tensor, y []int, idx []int) (*tensor.Tensor, []int, error) {
-	return gatherBatch(x, y, idx)
 }

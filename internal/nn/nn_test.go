@@ -176,46 +176,6 @@ func TestEncoderBlockResidualProperty(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := autograd.NewParam("w", tensor.FromSlice([]float32{1, 2}, 2))
-	p.Grad.CopyFrom(tensor.FromSlice([]float32{1, -1}, 2))
-	opt := NewSGD([]*autograd.Param{p}, 0.5, 0, 0)
-	opt.Step()
-	if p.Data.Data()[0] != 0.5 || p.Data.Data()[1] != 2.5 {
-		t.Fatalf("after step: %v", p.Data.Data())
-	}
-	if p.Grad.Data()[0] != 0 {
-		t.Fatal("grad not cleared")
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	p := autograd.NewParam("w", tensor.FromSlice([]float32{0}, 1))
-	opt := NewSGD([]*autograd.Param{p}, 1, 0.9, 0)
-	// Two identical unit gradients: second step moves 1.9.
-	p.Grad.Fill(1)
-	opt.Step()
-	first := p.Data.Data()[0]
-	p.Grad.Fill(1)
-	opt.Step()
-	second := p.Data.Data()[0] - first
-	if math.Abs(float64(first)+1) > 1e-6 {
-		t.Fatalf("first step = %v, want -1", first)
-	}
-	if math.Abs(float64(second)+1.9) > 1e-6 {
-		t.Fatalf("second step = %v, want -1.9", second)
-	}
-}
-
-func TestSGDWeightDecayShrinks(t *testing.T) {
-	p := autograd.NewParam("w", tensor.FromSlice([]float32{10}, 1))
-	opt := NewSGD([]*autograd.Param{p}, 0.1, 0, 0.5)
-	opt.Step() // grad 0 + decay 0.5*10 = 5; w -= 0.1*5
-	if math.Abs(float64(p.Data.Data()[0])-9.5) > 1e-5 {
-		t.Fatalf("w = %v, want 9.5", p.Data.Data()[0])
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)² with Adam.
 	p := autograd.NewParam("w", tensor.FromSlice([]float32{0}, 1))

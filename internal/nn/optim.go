@@ -7,63 +7,6 @@ import (
 	"pelta/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and clears the gradients.
-	Step()
-	// ZeroGrad clears gradients without updating.
-	ZeroGrad()
-}
-
-// SGD is stochastic gradient descent with optional momentum and weight decay.
-type SGD struct {
-	params   []*autograd.Param
-	lr       float32
-	momentum float32
-	decay    float32
-	velocity []*tensor.Tensor
-}
-
-// NewSGD creates an SGD optimizer over params.
-func NewSGD(params []*autograd.Param, lr, momentum, weightDecay float32) *SGD {
-	s := &SGD{params: params, lr: lr, momentum: momentum, decay: weightDecay}
-	if momentum != 0 {
-		s.velocity = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			s.velocity[i] = tensor.New(p.Data.Shape()...)
-		}
-	}
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		g := p.Grad
-		if s.decay != 0 {
-			tensor.AddScaledIn(g, s.decay, p.Data)
-		}
-		if s.velocity != nil {
-			v := s.velocity[i]
-			tensor.ScaleIn(v, s.momentum)
-			tensor.AddIn(v, g)
-			g = v
-		}
-		tensor.AddScaledIn(p.Data, -s.lr, g)
-		p.ZeroGrad()
-	}
-}
-
-// ZeroGrad implements Optimizer.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.params {
-		p.ZeroGrad()
-	}
-}
-
-// SetLR changes the learning rate (step-decay schedules).
-func (s *SGD) SetLR(lr float32) { s.lr = lr }
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	params []*autograd.Param
@@ -87,7 +30,8 @@ func NewAdam(params []*autograd.Param, lr float64) *Adam {
 	return a
 }
 
-// Step implements Optimizer.
+// Step applies one update from the accumulated gradients; clearing them is
+// the caller's (models.Trainer clears every gradient of the model at once).
 func (a *Adam) Step() {
 	a.t++
 	bc1 := 1 - math.Pow(a.beta1, float64(a.t))
@@ -102,13 +46,5 @@ func (a *Adam) Step() {
 			m[j], v[j] = float32(mj), float32(vj)
 			w[j] -= float32(a.lr * (mj / bc1) / (math.Sqrt(vj/bc2) + a.eps))
 		}
-		p.ZeroGrad()
-	}
-}
-
-// ZeroGrad implements Optimizer.
-func (a *Adam) ZeroGrad() {
-	for _, p := range a.params {
-		p.ZeroGrad()
 	}
 }

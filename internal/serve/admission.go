@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -115,10 +116,14 @@ func ParseWeights(s string) (map[string]float64, error) {
 			return nil, fmt.Errorf("serve: route weight %q, want route=weight", part)
 		}
 		v, err := strconv.ParseFloat(kv[1], 64)
-		if err != nil || v <= 0 {
+		if err != nil || !positiveFinite(v) {
 			return nil, fmt.Errorf("serve: route weight %q needs a positive number", part)
 		}
 		w[kv[0]] = v
 	}
 	return w, nil
 }
+
+// positiveFinite reports whether an operator-typed rate or weight is usable:
+// v <= 0 alone lets NaN through, and +Inf turns every share into NaN.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }

@@ -20,7 +20,7 @@ func TestParseWeights(t *testing.T) {
 	if w, err := ParseWeights(""); err != nil || w != nil {
 		t.Fatalf("empty spec: %v, %v", w, err)
 	}
-	for _, bad := range []string{"benign", "=3", "adv=zero", "adv=-1", "adv=0"} {
+	for _, bad := range []string{"benign", "=3", "adv=zero", "adv=-1", "adv=0", "adv=NaN", "benign=Inf,adv=1", "adv=-Inf"} {
 		if _, err := ParseWeights(bad); err == nil {
 			t.Errorf("ParseWeights(%q) accepted", bad)
 		}

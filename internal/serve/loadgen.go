@@ -228,7 +228,7 @@ func ParsePhases(spec string) ([]LoadPhase, error) {
 			return nil, fmt.Errorf("serve: phase %q, want rate:duration[:advfrac]", part)
 		}
 		rate, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil || rate <= 0 {
+		if err != nil || !positiveFinite(rate) {
 			return nil, fmt.Errorf("serve: phase %q needs a positive rate", part)
 		}
 		dur, err := time.ParseDuration(fields[1])
@@ -238,7 +238,7 @@ func ParsePhases(spec string) ([]LoadPhase, error) {
 		p := LoadPhase{Rate: rate, Duration: dur}
 		if len(fields) == 3 {
 			f, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) {
 				return nil, fmt.Errorf("serve: phase %q needs adv frac in [0,1]", part)
 			}
 			p.AdvFrac = f
@@ -282,8 +282,8 @@ func RunLoadPhases(s *Service, items []TrafficItem, phases []LoadPhase, cfg Load
 		}
 	}
 	for _, p := range phases {
-		if p.Rate <= 0 || p.Duration <= 0 {
-			return nil, fmt.Errorf("serve: phase %s needs a positive rate and duration", p)
+		if !positiveFinite(p.Rate) || p.Duration <= 0 || !(p.AdvFrac >= 0 && p.AdvFrac <= 1) {
+			return nil, fmt.Errorf("serve: phase %s needs a positive finite rate, a positive duration and an adv frac in [0,1]", p)
 		}
 		if p.AdvFrac > 0 && len(adv) == 0 {
 			return nil, fmt.Errorf("serve: phase %s draws adversarial traffic but the pool has none", p)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -128,7 +129,8 @@ func TestParsePhases(t *testing.T) {
 	if p, err := ParsePhases(""); err != nil || p != nil {
 		t.Fatalf("empty spec: %+v, %v", p, err)
 	}
-	for _, bad := range []string{"200", "0:1s", "200:0s", "200:1s:1.5", "200:1s:-1", "x:1s", "200:1s:0.1:9"} {
+	for _, bad := range []string{"200", "0:1s", "200:0s", "200:1s:1.5", "200:1s:-1", "x:1s", "200:1s:0.1:9",
+		"NaN:1s", "Inf:1s", "-Inf:1s", "200:1s:NaN", "200:1s:Inf"} {
 		if _, err := ParsePhases(bad); err == nil {
 			t.Errorf("ParsePhases(%q) accepted", bad)
 		}
@@ -220,7 +222,11 @@ func TestRunLoadPhasesValidation(t *testing.T) {
 	if _, err := RunLoadPhases(s, benignOnly, nil, LoadConfig{}); err == nil {
 		t.Fatal("empty phase list accepted")
 	}
-	for _, bad := range []LoadPhase{{Rate: 0, Duration: time.Millisecond}, {Rate: 10}} {
+	for _, bad := range []LoadPhase{
+		{Rate: 0, Duration: time.Millisecond}, {Rate: 10},
+		{Rate: math.NaN(), Duration: time.Millisecond}, {Rate: math.Inf(1), Duration: time.Millisecond},
+		{Rate: 10, Duration: time.Millisecond, AdvFrac: math.NaN()}, {Rate: 10, Duration: time.Millisecond, AdvFrac: -0.5},
+	} {
 		if _, err := RunLoadPhases(s, benignOnly, []LoadPhase{bad}, LoadConfig{}); err == nil {
 			t.Fatalf("phase %s accepted", bad)
 		}
