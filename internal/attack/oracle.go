@@ -72,13 +72,15 @@ func NewClearOracle(m models.Model) *ClearOracle { return &ClearOracle{M: m} }
 // arena returns the oracle's reusable graph, recycling the previous pass's
 // tensors. Probing must not perturb the defender's optimizer state, so
 // parameter-gradient tracking is off — which also skips computing the
-// weight-gradient products, roughly halving the backward pass.
-func (o *ClearOracle) arena() *autograd.Graph {
+// weight-gradient products, roughly halving the backward pass. A
+// forwardOnly pass (Logits) runs in the graph's inference mode.
+func (o *ClearOracle) arena(forwardOnly bool) *autograd.Graph {
 	if o.g == nil {
 		o.g = autograd.NewGraphWithPool(tensor.NewPool())
 		o.g.SetTrackParamGrads(false)
 	}
 	o.g.Release()
+	o.g.SetInference(forwardOnly)
 	return o.g
 }
 
@@ -103,14 +105,14 @@ func (o *ClearOracle) Classes() int { return o.M.Classes() }
 
 // Logits implements Oracle.
 func (o *ClearOracle) Logits(x *tensor.Tensor) (*tensor.Tensor, error) {
-	g := o.arena()
+	g := o.arena(true)
 	_, logits := o.M.Forward(g, g.Input(x, "x"))
 	return stash(&o.logitsBuf, logits.Data), nil
 }
 
 // GradCE implements Oracle.
 func (o *ClearOracle) GradCE(x *tensor.Tensor, y []int) (*tensor.Tensor, []float64, error) {
-	g := o.arena()
+	g := o.arena(false)
 	in := g.Input(x, "x")
 	_, logits := o.M.Forward(g, in)
 	loss, info := g.CrossEntropy(logits, y, autograd.ReduceSum)
@@ -132,7 +134,7 @@ func (o *ClearOracle) GradCERollout(x *tensor.Tensor, y []int) (*tensor.Tensor, 
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("attack: %s records no attention maps", o.M.Name())
 	}
-	g := o.arena()
+	g := o.arena(false)
 	// The rollout consumes the recorded maps, so opt this pass out of the
 	// fused attention fast path.
 	g.RequestRecorded(autograd.RecordAttention)
@@ -163,7 +165,7 @@ func mapData(maps []*autograd.Value) []*tensor.Tensor {
 
 // GradCW implements Oracle.
 func (o *ClearOracle) GradCW(x *tensor.Tensor, y []int, x0 *tensor.Tensor, kappa, c float32) (*tensor.Tensor, float64, error) {
-	g := o.arena()
+	g := o.arena(false)
 	in := g.Input(x, "x")
 	_, logits := o.M.Forward(g, in)
 	obj := g.Add(g.CWMargin(logits, y, kappa), g.Scale(g.SqDistSum(in, x0), c))

@@ -35,7 +35,7 @@ var _ RolloutProvider = (*ViTRollout)(nil)
 func (r *ViTRollout) AttentionRollout(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if r.g == nil {
 		r.g = autograd.NewGraphWithPool(tensor.NewPool())
-		r.g.SetTrackParamGrads(false)
+		r.g.SetInference(true)
 	}
 	r.g.Release()
 	r.g.RequestRecorded(autograd.RecordAttention)

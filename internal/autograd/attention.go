@@ -21,6 +21,9 @@ func (g *Graph) FusedAttention(q, k, v *Value, scale float32) *Value {
 	}
 	out := g.node("fusedattention", g.alloc(qs...), q, k, v)
 	tensor.FusedAttentionInto(g.pool, out.Data, q.Data, k.Data, v.Data, scale)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		// q, k and v are interior vertices of the attention block, so all
 		// three gradients are always live; gq is fully overwritten while

@@ -18,6 +18,29 @@
 // are exempt from the sweep: their buffers are withdrawn from the arena at
 // Scrub time and are never recycled (see Release).
 //
+// Orthogonal to the allocation regime, a graph runs each pass either taped
+// or in inference mode (SetInference, chosen between Release and the pass
+// like SetTrackParamGrads). A taped pass is what training and the attack
+// oracles run: every op stores its backward closure and the scratch only
+// backward reads (normalized activations, max-pool argmax maps), and
+// Backward replays the closures in reverse. An inference pass is the same
+// op code running the same kernels — same bits — with the tape left out:
+// no closure is built, no saved-for-backward scratch is kept, parameter
+// leaves do not alias Param.Grad, and Backward panics naming the mode, so
+// only the owner of a taped pass may differentiate it. What an inference
+// pass still records is the graph itself — every vertex, its op label and
+// its parents, on recycled Value objects — and any artifact requested with
+// RequestRecorded, because core.Protect walks exactly that structure to
+// shield a forward-only pass. Every pass that never calls Backward
+// (serving replicas, models.Logits, oracle Logits, a ShieldedModel.Query
+// without loss) runs in inference mode; there is no second forward
+// implementation to keep in step.
+//
+// Derived shapes (Linear, Reshape, Permute) are built in stack arrays and
+// vertices copy their parent lists, so in either mode a warm arena pass
+// allocates nothing for graph bookkeeping; a taped pass allocates its
+// closures.
+//
 // A Graph is confined to one goroutine: concurrent passes use one graph
 // (and one pool) per worker over shared read-only parameters. Given the
 // same inputs, forward and backward are bit-deterministic — reduction

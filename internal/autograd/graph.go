@@ -118,6 +118,11 @@ type Graph struct {
 	// halves the backward pass.
 	trackParamGrads bool
 
+	// inference marks the passes of this graph as forward-only (see
+	// SetInference): ops record vertices and parents but no backward
+	// closure and no saved-for-backward scratch.
+	inference bool
+
 	// recorded holds graph-scoped artifacts tagged by ops or models during
 	// the pass (e.g. attention probabilities for the SAGA rollout). Keeping
 	// them here rather than on the model keeps concurrent forward passes on
@@ -139,6 +144,10 @@ type Graph struct {
 	// swept back alongside the tensors.
 	ownedInts [][]int
 }
+
+// shapeScratch is the length of the stack arrays ops derive output shapes
+// in; a tensor of higher rank spills to the heap through append.
+const shapeScratch = 8
 
 // NewGraph returns an empty graph allocating from the Go heap.
 func NewGraph() *Graph {
@@ -163,6 +172,20 @@ func (g *Graph) Pool() *tensor.Pool { return g.pool }
 // gradients. Disabling it (attack oracles) skips both the accumulation and
 // the computation of weight-gradient products in every op's backward.
 func (g *Graph) SetTrackParamGrads(t bool) { g.trackParamGrads = t }
+
+// SetInference selects inference mode for the passes recorded from now on.
+// The same ops run the same kernels and still record every vertex with its
+// parents (core.Protect walks them), but no op builds its backward closure
+// or keeps scratch only backward reads, parameter leaves do not alias
+// Param.Grad, and Backward panics. Like SetTrackParamGrads it persists
+// across Release; it panics when the current pass already has vertices,
+// since a half-taped pass would differentiate silently wrong.
+func (g *Graph) SetInference(on bool) {
+	if len(g.nodes) != 0 {
+		panic("autograd: SetInference in the middle of a pass; call it after Release")
+	}
+	g.inference = on
+}
 
 // Release returns every buffer the graph borrowed from its pool and resets
 // the graph for the next pass. Buffers of vertices scrubbed into the Pelta
@@ -313,7 +336,9 @@ func (g *Graph) newValue(op string, parents ...*Value) *Value {
 		v.op = op
 		v.parents = append(v.parents[:0], parents...)
 	} else {
-		v = &Value{op: op, parents: parents}
+		// Copy: storing the variadic slice itself would force it onto the
+		// heap at every call site, pooled or not.
+		v = &Value{op: op, parents: append([]*Value(nil), parents...)}
 	}
 	v.id = len(g.nodes)
 	v.graph = g
@@ -349,8 +374,8 @@ func (g *Graph) Const(x *tensor.Tensor, name string) *Value {
 
 // Param registers (or reuses) the leaf vertex for p within this graph.
 // When parameter-gradient tracking is on, gradients accumulate directly
-// into p.Grad; otherwise the leaf carries no gradient and backward passes
-// skip the weight-gradient products entirely.
+// into p.Grad; otherwise (and on every inference pass) the leaf carries no
+// gradient and backward passes skip the weight-gradient products entirely.
 func (g *Graph) Param(p *Param) *Value {
 	if v, ok := g.paramNodes[p]; ok {
 		return v
@@ -359,7 +384,7 @@ func (g *Graph) Param(p *Param) *Value {
 	v.name = p.Name
 	v.Data = p.Data
 	v.param = p
-	if g.trackParamGrads {
+	if g.trackParamGrads && !g.inference {
 		v.Grad = p.Grad
 	}
 	g.paramNodes[p] = v
@@ -400,8 +425,12 @@ func (g *Graph) accum(v *Value, grad *tensor.Tensor) {
 
 // Backward runs reverse-mode differentiation from the scalar loss vertex.
 // Gradients for every vertex are retained (Pelta and the attacks need
-// interior adjoints, not just leaf gradients).
+// interior adjoints, not just leaf gradients). It panics on an inference
+// pass, which recorded no closures to replay.
 func (g *Graph) Backward(loss *Value) {
+	if g.inference {
+		panic("autograd: Backward on an inference-mode pass: no backward closures were recorded (SetInference(false) before the pass)")
+	}
 	if loss.Data.Len() != 1 {
 		panic(fmt.Sprintf("autograd: Backward requires a scalar loss, got shape %v", loss.Data.Shape()))
 	}

@@ -46,6 +46,10 @@ func (g *Graph) CrossEntropy(logits *Value, labels []int, red Reduction) (*Value
 		total /= float64(b)
 	}
 	out := g.node("cross_entropy", g.scalar(float32(total)), logits)
+	info := &CrossEntropyInfo{PerSample: per, Probs: probs}
+	if g.inference {
+		return out, info
+	}
 	out.backward = func() {
 		scale := out.Grad.Data()[0]
 		if red == ReduceMean {
@@ -60,7 +64,7 @@ func (g *Graph) CrossEntropy(logits *Value, labels []int, red Reduction) (*Value
 		g.accum(logits, gl)
 		g.free(gl)
 	}
-	return out, &CrossEntropyInfo{PerSample: per, Probs: probs}
+	return out, info
 }
 
 // CrossEntropyInfo carries forward-pass byproducts of CrossEntropy.
@@ -110,6 +114,9 @@ func (g *Graph) CWMargin(logits *Value, labels []int, kappa float32) *Value {
 		}
 	}
 	out := g.node("cw_margin", g.scalar(float32(total)), logits)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		scale := out.Grad.Data()[0]
 		gl := g.allocZero(ls...)
@@ -135,6 +142,10 @@ func (g *Graph) SqDistSum(x *Value, ref *tensor.Tensor) *Value {
 	diff := g.alloc(x.Data.Shape()...)
 	tensor.SubInto(diff, x.Data, ref)
 	out := g.node("sqdist", g.scalar(float32(tensor.Dot(diff, diff))), x)
+	if g.inference {
+		g.free(diff)
+		return out
+	}
 	out.backward = func() {
 		gx := g.alloc(diff.Shape()...)
 		tensor.ScaleInto(gx, diff, 2*out.Grad.Data()[0])

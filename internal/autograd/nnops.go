@@ -11,7 +11,8 @@ import (
 // optional bias [O].
 func (g *Graph) Conv2d(x, w, b *Value, stride, pad int) *Value {
 	var bias *tensor.Tensor
-	parents := []*Value{x, w}
+	var pb [3]*Value
+	parents := append(pb[:0], x, w)
 	if b != nil {
 		bias = b.Data
 		parents = append(parents, b)
@@ -21,6 +22,9 @@ func (g *Graph) Conv2d(x, w, b *Value, stride, pad int) *Value {
 	ow := tensor.ConvOut(xs[3], ws[3], stride, pad)
 	out := g.node("conv2d", g.alloc(xs[0], ws[0], oh, ow), parents...)
 	tensor.Conv2dInto(g.pool, out.Data, x.Data, w.Data, bias, stride, pad)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		gx, gw, gb := g.convGrads(x, w, b, w.Data, out.Grad, stride, pad)
 		g.accum(x, gx)
@@ -61,7 +65,6 @@ func (g *Graph) WSConv2d(x, w, b *Value, stride, pad int) *Value {
 	fan := w.Data.Len() / oc
 	const eps = 1e-5
 
-	mean := make([]float64, oc)
 	std := make([]float64, oc)
 	wHat := g.alloc(ws...)
 	for o := 0; o < oc; o++ {
@@ -77,7 +80,7 @@ func (g *Graph) WSConv2d(x, w, b *Value, stride, pad int) *Value {
 			vr += d * d
 		}
 		vr /= float64(fan)
-		mean[o], std[o] = m, math.Sqrt(vr+eps)
+		std[o] = math.Sqrt(vr + eps)
 		dst := wHat.Data()[o*fan : (o+1)*fan]
 		for i, v := range seg {
 			dst[i] = float32((float64(v) - m) / std[o])
@@ -85,7 +88,8 @@ func (g *Graph) WSConv2d(x, w, b *Value, stride, pad int) *Value {
 	}
 
 	var bias *tensor.Tensor
-	parents := []*Value{x, w}
+	var pb [3]*Value
+	parents := append(pb[:0], x, w)
 	if b != nil {
 		bias = b.Data
 		parents = append(parents, b)
@@ -95,6 +99,10 @@ func (g *Graph) WSConv2d(x, w, b *Value, stride, pad int) *Value {
 	ow := tensor.ConvOut(xs[3], ws[3], stride, pad)
 	out := g.node("wsconv2d", g.alloc(xs[0], oc, oh, ow), parents...)
 	tensor.Conv2dInto(g.pool, out.Data, x.Data, wHat, bias, stride, pad)
+	if g.inference {
+		g.free(wHat)
+		return out
+	}
 	out.backward = func() {
 		gx, gwHat, gb := g.convGrads(x, w, b, wHat, out.Grad, stride, pad)
 		g.accum(x, gx)
@@ -135,6 +143,9 @@ func (g *Graph) Pad2d(x *Value, p int) *Value {
 	xs := x.Data.Shape()
 	out := g.node("pad2d", g.allocZero(xs[0], xs[1], xs[2]+2*p, xs[3]+2*p), x)
 	tensor.Pad2dInto(out.Data, x.Data, p)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		gx := g.alloc(xs...)
 		tensor.Unpad2dInto(gx, out.Grad, p)
@@ -149,9 +160,16 @@ func (g *Graph) MaxPool2d(x *Value, k, s int) *Value {
 	xs := x.Data.Shape()
 	oh, ow := tensor.ConvOut(xs[2], k, s, 0), tensor.ConvOut(xs[3], k, s, 0)
 	pooled := g.alloc(xs[0], xs[1], oh, ow)
-	idx := g.allocInts(xs[0] * xs[1] * oh * ow)
+	// The argmax map is read by backward only.
+	var idx []int
+	if !g.inference {
+		idx = g.allocInts(xs[0] * xs[1] * oh * ow)
+	}
 	tensor.MaxPool2dIdxInto(pooled, x.Data, k, s, idx)
 	out := g.node("maxpool2d", pooled, x)
+	if g.inference {
+		return out
+	}
 	bs := xs[0]
 	sampleLen := x.Data.Len() / bs
 	outSample := pooled.Len() / bs
@@ -175,6 +193,9 @@ func (g *Graph) AvgPoolGlobal(x *Value) *Value {
 	xs := x.Data.Shape()
 	out := g.node("avgpool_global", g.alloc(xs[0], xs[1]), x)
 	tensor.AvgPool2dGlobalInto(out.Data, x.Data)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		b, c, h, w := xs[0], xs[1], xs[2], xs[3]
 		gx := g.alloc(xs...)
@@ -205,11 +226,14 @@ func (g *Graph) LayerNorm(x, gamma, beta *Value) *Value {
 		panic(fmt.Sprintf("autograd: LayerNorm affine params must have length %d", d))
 	}
 	const eps = 1e-5
-	xhat := g.alloc(xs...)
-	invStdT := g.alloc(rows)
-	invStd := invStdT.Data()
+	// x̂ and 1/σ are saved for backward only: an inference pass keeps
+	// neither (hd stays nil) and computes the same y.
+	var hd, invStd []float32
+	if !g.inference {
+		hd, invStd = g.alloc(xs...).Data(), g.alloc(rows).Data()
+	}
 	out := g.node("layernorm", g.alloc(xs...), x, gamma, beta)
-	xd, hd, od := x.Data.Data(), xhat.Data(), out.Data.Data()
+	xd, od := x.Data.Data(), out.Data.Data()
 	gmd, btd := gamma.Data.Data(), beta.Data.Data()
 	for r := 0; r < rows; r++ {
 		seg := xd[r*d : (r+1)*d]
@@ -225,12 +249,19 @@ func (g *Graph) LayerNorm(x, gamma, beta *Value) *Value {
 		}
 		vr /= float64(d)
 		is := float32(1 / math.Sqrt(vr+eps))
-		invStd[r] = is
+		if hd != nil {
+			invStd[r] = is
+		}
 		for i, v := range seg {
 			h := (v - float32(m)) * is
-			hd[r*d+i] = h
+			if hd != nil {
+				hd[r*d+i] = h
+			}
 			od[r*d+i] = gmd[i]*h + btd[i]
 		}
+	}
+	if g.inference {
+		return out
 	}
 	out.backward = func() {
 		track := g.needs(gamma) || g.needs(beta)
@@ -343,22 +374,34 @@ func (g *Graph) BatchNorm2d(x, gamma, beta *Value, st *BatchNormState, training 
 	for ch := 0; ch < c; ch++ {
 		invStd[ch] = float32(1 / math.Sqrt(varr[ch]+eps))
 	}
-	xhat := g.alloc(xs...)
+	// x̂ is saved for backward only; an inference pass keeps none.
+	var xhat *tensor.Tensor
+	if !g.inference {
+		xhat = g.alloc(xs...)
+	}
 	out := g.node("batchnorm2d", g.alloc(xs...), x, gamma, beta)
 	gmd, btd := gamma.Data.Data(), beta.Data.Data()
 	sample := c * h * w
 	for i := 0; i < b; i++ {
 		src := x.Data.Data()[i*sample : (i+1)*sample]
-		hdst := xhat.Data()[i*sample : (i+1)*sample]
+		var hdst []float32
+		if xhat != nil {
+			hdst = xhat.Data()[i*sample : (i+1)*sample]
+		}
 		odst := out.Data.Data()[i*sample : (i+1)*sample]
 		for ch := 0; ch < c; ch++ {
 			m32, is := float32(mean[ch]), invStd[ch]
 			for j := ch * h * w; j < (ch+1)*h*w; j++ {
 				hv := (src[j] - m32) * is
-				hdst[j] = hv
+				if hdst != nil {
+					hdst[j] = hv
+				}
 				odst[j] = gmd[ch]*hv + btd[ch]
 			}
 		}
+	}
+	if g.inference {
+		return out
 	}
 	out.backward = func() {
 		track := g.needs(gamma) || g.needs(beta)
@@ -440,15 +483,22 @@ func (g *Graph) GroupNorm2d(x, gamma, beta *Value, groups int) *Value {
 	gn := cg * h * w
 	const eps = 1e-5
 
-	xhat := g.alloc(xs...)
-	invStdT := g.alloc(b * groups)
-	invStd := invStdT.Data()
+	// x̂ and 1/σ are saved for backward only; an inference pass keeps
+	// neither.
+	var xhat *tensor.Tensor
+	var invStd []float32
+	if !g.inference {
+		xhat, invStd = g.alloc(xs...), g.alloc(b*groups).Data()
+	}
 	out := g.node("groupnorm2d", g.alloc(xs...), x, gamma, beta)
 	gmd, btd := gamma.Data.Data(), beta.Data.Data()
 	sample := c * h * w
 	for i := 0; i < b; i++ {
 		src := x.Data.Data()[i*sample : (i+1)*sample]
-		hdst := xhat.Data()[i*sample : (i+1)*sample]
+		var hdst []float32
+		if xhat != nil {
+			hdst = xhat.Data()[i*sample : (i+1)*sample]
+		}
 		odst := out.Data.Data()[i*sample : (i+1)*sample]
 		for gr := 0; gr < groups; gr++ {
 			lo, hi := gr*cg*h*w, (gr+1)*cg*h*w
@@ -464,14 +514,21 @@ func (g *Graph) GroupNorm2d(x, gamma, beta *Value, groups int) *Value {
 			}
 			vr /= float64(gn)
 			is := float32(1 / math.Sqrt(vr+eps))
-			invStd[i*groups+gr] = is
+			if hdst != nil {
+				invStd[i*groups+gr] = is
+			}
 			for j := lo; j < hi; j++ {
 				ch := j / (h * w)
 				hv := (src[j] - float32(m)) * is
-				hdst[j] = hv
+				if hdst != nil {
+					hdst[j] = hv
+				}
 				odst[j] = gmd[ch]*hv + btd[ch]
 			}
 		}
+	}
+	if g.inference {
+		return out
 	}
 	out.backward = func() {
 		track := g.needs(gamma) || g.needs(beta)

@@ -11,6 +11,9 @@ import (
 func (g *Graph) Add(a, b *Value) *Value {
 	out := g.node("add", g.alloc(a.Data.Shape()...), a, b)
 	tensor.AddInto(out.Data, a.Data, b.Data)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		if g.needs(a) {
 			g.accum(a, out.Grad)
@@ -26,6 +29,9 @@ func (g *Graph) Add(a, b *Value) *Value {
 func (g *Graph) Sub(a, b *Value) *Value {
 	out := g.node("sub", g.alloc(a.Data.Shape()...), a, b)
 	tensor.SubInto(out.Data, a.Data, b.Data)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		if g.needs(a) {
 			g.accum(a, out.Grad)
@@ -44,6 +50,9 @@ func (g *Graph) Sub(a, b *Value) *Value {
 func (g *Graph) Mul(a, b *Value) *Value {
 	out := g.node("mul", g.alloc(a.Data.Shape()...), a, b)
 	tensor.MulInto(out.Data, a.Data, b.Data)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		t := g.alloc(out.Grad.Shape()...)
 		if g.needs(a) {
@@ -63,6 +72,9 @@ func (g *Graph) Mul(a, b *Value) *Value {
 func (g *Graph) Scale(a *Value, alpha float32) *Value {
 	out := g.node("scale", g.alloc(a.Data.Shape()...), a)
 	tensor.ScaleInto(out.Data, a.Data, alpha)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		if g.needs(a) {
 			t := g.alloc(out.Grad.Shape()...)
@@ -91,6 +103,9 @@ func (g *Graph) AddBroadcast(a, b *Value) *Value {
 		}
 	}
 	out := g.node("addbroadcast", data, a, b)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		if g.needs(a) {
 			g.accum(a, out.Grad)
@@ -114,6 +129,9 @@ func (g *Graph) AddBroadcast(a, b *Value) *Value {
 func (g *Graph) MatMul(a, b *Value) *Value {
 	out := g.node("matmul", g.alloc(a.Data.Dim(0), b.Data.Dim(1)), a, b)
 	tensor.MatMulInto(out.Data, a.Data, b.Data)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		if g.needs(a) {
 			t := g.alloc(a.Data.Shape()...)
@@ -140,8 +158,10 @@ func (g *Graph) Linear(x, w, b *Value) *Value {
 	if w.Data.Dim(1) != in {
 		panic(fmt.Sprintf("autograd: Linear weight %v incompatible with input %v", w.Data.Shape(), xs))
 	}
-	outShape := append(append([]int(nil), xs[:len(xs)-1]...), outF)
-	parents := []*Value{x, w}
+	var sb [shapeScratch]int
+	outShape := append(append(sb[:0], xs[:len(xs)-1]...), outF)
+	var pb [3]*Value
+	parents := append(pb[:0], x, w)
 	if b != nil {
 		parents = append(parents, b)
 	}
@@ -151,6 +171,9 @@ func (g *Graph) Linear(x, w, b *Value) *Value {
 	tensor.MatMulTransBInto(out.Data, x.Data, w.Data)
 	if b != nil {
 		tensor.AddRowVectorIn(out.Data, b.Data)
+	}
+	if g.inference {
+		return out
 	}
 	out.backward = func() {
 		if g.needs(x) {
@@ -185,6 +208,9 @@ func (g *Graph) BMM(a, b *Value) *Value {
 	G, m, n := as[0], as[1], bs[2]
 	out := g.node("bmm", g.alloc(G, m, n), a, b)
 	tensor.BMMInto(out.Data, a.Data, b.Data)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		needA, needB := g.needs(a), g.needs(b)
 		var ga, gb *tensor.Tensor
@@ -217,6 +243,9 @@ func (g *Graph) ReLU(x *Value) *Value {
 		}
 		return 0
 	})
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		gx := g.alloc(x.Data.Shape()...)
 		xd, gy, gd := x.Data.Data(), out.Grad.Data(), gx.Data()
@@ -245,6 +274,9 @@ func (g *Graph) GELU(x *Value) *Value {
 		f := float64(v)
 		return float32(0.5 * f * (1 + math.Tanh(geluC*(f+geluA*f*f*f))))
 	})
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		gx := g.alloc(x.Data.Shape()...)
 		xd, gy, gd := x.Data.Data(), out.Grad.Data(), gx.Data()
@@ -267,6 +299,9 @@ func (g *Graph) GELU(x *Value) *Value {
 func (g *Graph) Tanh(x *Value) *Value {
 	out := g.node("tanh", g.alloc(x.Data.Shape()...), x)
 	tensor.ApplyInto(out.Data, x.Data, func(v float32) float32 { return float32(math.Tanh(float64(v))) })
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		gx := g.alloc(x.Data.Shape()...)
 		yd, gy, gd := out.Data.Data(), out.Grad.Data(), gx.Data()
@@ -283,6 +318,9 @@ func (g *Graph) Tanh(x *Value) *Value {
 func (g *Graph) Affine(x *Value, alpha, beta float32) *Value {
 	out := g.node("affine", g.alloc(x.Data.Shape()...), x)
 	tensor.ApplyInto(out.Data, x.Data, func(v float32) float32 { return alpha*v + beta })
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		t := g.alloc(out.Grad.Shape()...)
 		tensor.ScaleInto(t, out.Grad, alpha)
@@ -300,6 +338,9 @@ func (g *Graph) SoftmaxLastDim(x *Value) *Value {
 	probs := g.alloc(xs...)
 	tensor.SoftmaxRowsInto(probs, x.Data)
 	out := g.node("softmax", probs, x)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		gx := g.alloc(xs...)
 		p, gy, gd := out.Data.Data(), out.Grad.Data(), gx.Data()
@@ -322,6 +363,9 @@ func (g *Graph) SoftmaxLastDim(x *Value) *Value {
 // Sum reduces all elements to a scalar.
 func (g *Graph) Sum(x *Value) *Value {
 	out := g.node("sum", g.scalar(float32(tensor.Sum(x.Data))), x)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		t := g.alloc(x.Data.Shape()...)
 		t.Fill(out.Grad.Data()[0])
@@ -335,6 +379,9 @@ func (g *Graph) Sum(x *Value) *Value {
 func (g *Graph) Mean(x *Value) *Value {
 	n := float32(x.Data.Len())
 	out := g.node("mean", g.scalar(float32(tensor.Mean(x.Data))), x)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		t := g.alloc(x.Data.Shape()...)
 		t.Fill(out.Grad.Data()[0] / n)

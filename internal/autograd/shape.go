@@ -22,21 +22,27 @@ func (g *Graph) Reshape(x *Value, shape ...int) *Value {
 		}
 		known *= d
 	}
+	// The panics format a copy of shape: handing fmt the variadic slice
+	// itself would move it to the heap at every call site.
+	var sb [shapeScratch]int
 	if infer >= 0 {
 		if known == 0 || n%known != 0 {
-			panic(fmt.Sprintf("autograd: cannot infer dim reshaping %v to %v", x.Data.Shape(), shape))
+			panic(fmt.Sprintf("autograd: cannot infer dim reshaping %v to %v", x.Data.Shape(), append([]int(nil), shape...)))
 		}
 		// Copy before writing the inferred dim: the variadic slice may be a
 		// caller-owned slice reused across calls.
-		shape = append([]int(nil), shape...)
+		shape = append(sb[:0], shape...)
 		shape[infer] = n / known
 		known *= shape[infer]
 	}
 	if known != n {
-		panic(fmt.Sprintf("autograd: cannot reshape %v (%d elems) to %v", x.Data.Shape(), n, shape))
+		panic(fmt.Sprintf("autograd: cannot reshape %v (%d elems) to %v", x.Data.Shape(), n, append([]int(nil), shape...)))
 	}
 	out := g.node("reshape", g.alloc(shape...), x)
 	out.Data.CopyFrom(x.Data)
+	if g.inference {
+		return out
+	}
 	out.backward = func() {
 		// accum matches by element count; the shape header is irrelevant
 		// for interior adjoint accumulation.
@@ -49,13 +55,17 @@ func (g *Graph) Reshape(x *Value, shape ...int) *Value {
 // materializing a contiguous result.
 func (g *Graph) Permute(x *Value, axes ...int) *Value {
 	shape := x.Data.Shape()
-	outShape := make([]int, len(shape))
-	for i, a := range axes {
-		outShape[i] = shape[a]
+	var sb [shapeScratch]int
+	outShape := sb[:0]
+	for _, a := range axes {
+		outShape = append(outShape, shape[a])
 	}
 	data := g.alloc(outShape...)
 	permuteInto(data, x.Data, axes)
 	out := g.node("permute", data, x)
+	if g.inference {
+		return out
+	}
 	inv := make([]int, len(axes))
 	for i, a := range axes {
 		inv[a] = i
@@ -74,7 +84,7 @@ func (g *Graph) Permute(x *Value, axes ...int) *Value {
 func permuteInto(out, t *tensor.Tensor, axes []int) {
 	shape := t.Shape()
 	if len(axes) != len(shape) {
-		panic(fmt.Sprintf("autograd: permute axes %v do not match rank %d", axes, len(shape)))
+		panic(fmt.Sprintf("autograd: permute axes %v do not match rank %d", append([]int(nil), axes...), len(shape)))
 	}
 	// Fast paths for the attention layout shuffles, which dominate permute
 	// traffic: swapping the two middle axes of a rank-4 tensor and swapping
@@ -89,14 +99,17 @@ func permuteInto(out, t *tensor.Tensor, axes []int) {
 	}
 	outShape := out.Shape()
 	// Strides of the input.
-	inStride := make([]int, len(shape))
+	var sb, ib [shapeScratch]int
+	inStride := append(sb[:0], shape...)
 	s := 1
 	for i := len(shape) - 1; i >= 0; i-- {
 		inStride[i] = s
 		s *= shape[i]
 	}
-	// Walk output positions in order, map back to input offset.
-	idx := make([]int, len(shape))
+	// Walk output positions in order, map back to input offset. idx is the
+	// running multi-index: rank-sized like inStride, starting at zero.
+	idx := append(ib[:0], shape...)
+	clear(idx)
 	data, src := out.Data(), t.Data()
 	for o := range data {
 		off := 0
@@ -155,16 +168,21 @@ func (g *Graph) PrependToken(x, tok *Value) *Value {
 	}
 	b, t, d := xs[0], xs[1], xs[2]
 	out := g.node("prepend_token", g.alloc(b, t+1, d), x, tok)
+	od, xd := out.Data.Data(), x.Data.Data()
 	for i := 0; i < b; i++ {
-		dst := out.Data.Slice(i)
-		copy(dst.Data()[:d], tok.Data.Data())
-		copy(dst.Data()[d:], x.Data.Slice(i).Data())
+		dst := od[i*(t+1)*d : (i+1)*(t+1)*d]
+		copy(dst[:d], tok.Data.Data())
+		copy(dst[d:], xd[i*t*d:(i+1)*t*d])
+	}
+	if g.inference {
+		return out
 	}
 	out.backward = func() {
+		gy := out.Grad.Data()
 		if g.needs(x) {
 			gx := g.alloc(b, t, d)
 			for i := 0; i < b; i++ {
-				copy(gx.Slice(i).Data(), out.Grad.Slice(i).Data()[d:])
+				copy(gx.Data()[i*t*d:(i+1)*t*d], gy[i*(t+1)*d+d:(i+1)*(t+1)*d])
 			}
 			g.accum(x, gx)
 			g.free(gx)
@@ -172,9 +190,8 @@ func (g *Graph) PrependToken(x, tok *Value) *Value {
 		if g.needs(tok) {
 			gtok := g.allocZero(tok.Data.Shape()...)
 			for i := 0; i < b; i++ {
-				gslice := out.Grad.Slice(i)
-				for j := 0; j < d; j++ {
-					gtok.Data()[j] += gslice.Data()[j]
+				for j, v := range gy[i*(t+1)*d : i*(t+1)*d+d] {
+					gtok.Data()[j] += v
 				}
 			}
 			g.accum(tok, gtok)
@@ -191,15 +208,18 @@ func (g *Graph) TakeToken(x *Value, t int) *Value {
 	if len(xs) != 3 || t < 0 || t >= xs[1] {
 		panic(fmt.Sprintf("autograd: TakeToken(%d) invalid for shape %v", t, xs))
 	}
-	b, d := xs[0], xs[2]
+	b, seq, d := xs[0], xs[1], xs[2]
 	out := g.node("take_token", g.alloc(b, d), x)
 	for i := 0; i < b; i++ {
-		copy(out.Data.Slice(i).Data(), x.Data.Slice(i).Data()[t*d:(t+1)*d])
+		copy(out.Data.Data()[i*d:(i+1)*d], x.Data.Data()[(i*seq+t)*d:(i*seq+t+1)*d])
+	}
+	if g.inference {
+		return out
 	}
 	out.backward = func() {
 		gx := g.allocZero(xs...)
 		for i := 0; i < b; i++ {
-			copy(gx.Slice(i).Data()[t*d:(t+1)*d], out.Grad.Slice(i).Data())
+			copy(gx.Data()[(i*seq+t)*d:(i*seq+t+1)*d], out.Grad.Data()[i*d:(i+1)*d])
 		}
 		g.accum(x, gx)
 		g.free(gx)
@@ -216,36 +236,18 @@ func (g *Graph) Unpatchify(x *Value, c, h, w, p int) *Value {
 	if len(xs) != 3 || xs[1] != gh*gw || xs[2] != c*p*p {
 		panic(fmt.Sprintf("autograd: Unpatchify(%d,%d,%d,%d) invalid for shape %v", c, h, w, p, xs))
 	}
-	b := xs[0]
-	d := c * p * p
+	b, sample := xs[0], c*h*w
 	out := g.node("unpatchify", g.alloc(b, c, h, w), x)
-	move := func(img, patches *tensor.Tensor, toImage bool) {
-		for py := 0; py < gh; py++ {
-			for px := 0; px < gw; px++ {
-				patch := py*gw + px
-				for ch := 0; ch < c; ch++ {
-					for dy := 0; dy < p; dy++ {
-						for dx := 0; dx < p; dx++ {
-							imgOff := ch*h*w + (py*p+dy)*w + px*p + dx
-							patchOff := patch*d + ch*p*p + dy*p + dx
-							if toImage {
-								img.Data()[imgOff] = patches.Data()[patchOff]
-							} else {
-								patches.Data()[patchOff] = img.Data()[imgOff]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
 	for i := 0; i < b; i++ {
-		move(out.Data.Slice(i), x.Data.Slice(i), true)
+		patchesToImage(out.Data.Data()[i*sample:(i+1)*sample], x.Data.Data()[i*sample:(i+1)*sample], c, h, w, p, false)
+	}
+	if g.inference {
+		return out
 	}
 	out.backward = func() {
 		gx := g.alloc(xs...)
 		for i := 0; i < b; i++ {
-			move(out.Grad.Slice(i), gx.Slice(i), false)
+			imageToPatches(gx.Data()[i*sample:(i+1)*sample], out.Grad.Data()[i*sample:(i+1)*sample], c, h, w, p)
 		}
 		g.accum(x, gx)
 		g.free(gx)
@@ -262,39 +264,63 @@ func (g *Graph) Patchify(x *Value, p int) *Value {
 		panic(fmt.Sprintf("autograd: Patchify(%d) invalid for shape %v", p, xs))
 	}
 	b, c, h, w := xs[0], xs[1], xs[2], xs[3]
-	gh, gw := h/p, w/p
-	n, d := gh*gw, c*p*p
-	out := g.node("patchify", g.alloc(b, n, d), x)
-	scatter := func(dst, src *tensor.Tensor, forward bool) {
-		for py := 0; py < gh; py++ {
-			for px := 0; px < gw; px++ {
-				patch := py*gw + px
-				for ch := 0; ch < c; ch++ {
-					for dy := 0; dy < p; dy++ {
-						for dx := 0; dx < p; dx++ {
-							imgOff := ch*h*w + (py*p+dy)*w + px*p + dx
-							patchOff := patch*d + ch*p*p + dy*p + dx
-							if forward {
-								dst.Data()[patchOff] = src.Data()[imgOff]
-							} else {
-								dst.Data()[imgOff] += src.Data()[patchOff]
-							}
+	sample := c * h * w
+	out := g.node("patchify", g.alloc(b, (h/p)*(w/p), c*p*p), x)
+	for i := 0; i < b; i++ {
+		imageToPatches(out.Data.Data()[i*sample:(i+1)*sample], x.Data.Data()[i*sample:(i+1)*sample], c, h, w, p)
+	}
+	if g.inference {
+		return out
+	}
+	out.backward = func() {
+		gx := g.allocZero(xs...)
+		for i := 0; i < b; i++ {
+			patchesToImage(gx.Data()[i*sample:(i+1)*sample], out.Grad.Data()[i*sample:(i+1)*sample], c, h, w, p, true)
+		}
+		g.accum(x, gx)
+		g.free(gx)
+	}
+	return out
+}
+
+// imageToPatches writes one sample's [C,H,W] image as its [N, C*p*p]
+// non-overlapping p×p patch rows, overwriting patches.
+func imageToPatches(patches, img []float32, c, h, w, p int) {
+	gh, gw, d := h/p, w/p, c*p*p
+	for py := 0; py < gh; py++ {
+		for px := 0; px < gw; px++ {
+			row := patches[(py*gw+px)*d : (py*gw+px+1)*d]
+			for ch := 0; ch < c; ch++ {
+				for dy := 0; dy < p; dy++ {
+					for dx := 0; dx < p; dx++ {
+						row[ch*p*p+dy*p+dx] = img[ch*h*w+(py*p+dy)*w+px*p+dx]
+					}
+				}
+			}
+		}
+	}
+}
+
+// patchesToImage is the inverse layout move: one sample's patch rows back
+// into its [C,H,W] image, overwriting img or, with add, accumulating into it
+// (Patchify's adjoint into a zeroed gradient).
+func patchesToImage(img, patches []float32, c, h, w, p int, add bool) {
+	gh, gw, d := h/p, w/p, c*p*p
+	for py := 0; py < gh; py++ {
+		for px := 0; px < gw; px++ {
+			row := patches[(py*gw+px)*d : (py*gw+px+1)*d]
+			for ch := 0; ch < c; ch++ {
+				for dy := 0; dy < p; dy++ {
+					for dx := 0; dx < p; dx++ {
+						imgOff := ch*h*w + (py*p+dy)*w + px*p + dx
+						if add {
+							img[imgOff] += row[ch*p*p+dy*p+dx]
+						} else {
+							img[imgOff] = row[ch*p*p+dy*p+dx]
 						}
 					}
 				}
 			}
 		}
 	}
-	for i := 0; i < b; i++ {
-		scatter(out.Data.Slice(i), x.Data.Slice(i), true)
-	}
-	out.backward = func() {
-		gx := g.allocZero(xs...)
-		for i := 0; i < b; i++ {
-			scatter(gx.Slice(i), out.Grad.Slice(i), false)
-		}
-		g.accum(x, gx)
-		g.free(gx)
-	}
-	return out
 }

@@ -12,6 +12,15 @@
 // out through attack.ParallelOracle). Query results are deterministic —
 // shielding changes what is visible, never the numbers computed.
 //
+// A forward-only pass (Query with a nil loss, Predict — what a deployed
+// defender serves) runs in autograd's inference mode: no backward closure
+// is recorded and no Param.Grad is read, cleared or stored, so serving and
+// probing leave the defender's pending gradients alone. The vertices and
+// their parents are recorded all the same, so Algorithm 1 stores and scrubs
+// the same objects with the same world switches as on a taped pass. Only a
+// gradient-producing Query tapes the pass and clears every parameter
+// gradient afterwards.
+//
 // EnclaveTrainer is §VI's enclave-resident training. It owns no optimizer
 // and no epoch loop: it keeps one models.Trainer for life (its Adam moments
 // persist across calls) and hooks its Step — the fresh shielded gradients are

@@ -43,7 +43,10 @@ type QueryResult struct {
 // runs a full pass, then applies Algorithm 1 so the shallow quantities never
 // remain in normal-world memory.
 type ShieldedModel struct {
-	model   models.Model
+	model models.Model
+	// params is model.Params(), built once: the gradient sweep after a
+	// gradient-producing Query walks it.
+	params  []*autograd.Param
 	enclave *tee.Enclave
 	token   tee.Token
 	pass    int
@@ -60,7 +63,7 @@ func NewShieldedModel(m models.Model, limit int64) (*ShieldedModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: creating enclave for %s: %w", m.Name(), err)
 	}
-	return &ShieldedModel{model: m, enclave: e, token: tok}, nil
+	return &ShieldedModel{model: m, params: m.Params(), enclave: e, token: tok}, nil
 }
 
 // Model returns the wrapped defender (defender-side use only: the attacker
@@ -80,7 +83,8 @@ func (s *ShieldedModel) Classes() int { return s.model.Classes() }
 func (s *ShieldedModel) InputShape() []int { return s.model.InputShape() }
 
 // Predict runs a shielded forward pass and returns argmax classes. (No
-// gradients are produced; the shield still hides the shallow activations.)
+// gradients are produced and no Param.Grad is touched; the shield still
+// hides the shallow activations.)
 func (s *ShieldedModel) Predict(x *tensor.Tensor) ([]int, error) {
 	res, err := s.Query(x, nil)
 	if err != nil {
@@ -89,9 +93,14 @@ func (s *ShieldedModel) Predict(x *tensor.Tensor) ([]int, error) {
 	return tensor.ArgmaxRows(res.Logits), nil
 }
 
-// Query runs one pass. When loss is nil only the forward runs (inference);
-// otherwise backward runs and the adjoint δ_{L+1} is returned. In both
-// cases Algorithm 1 shields the shallow region afterwards.
+// Query runs one pass. When loss is nil only the forward runs, in the
+// graph's inference mode: no backward closure is recorded and the pass
+// neither reads nor writes any Param.Grad, so serving and probing leave the
+// defender's pending gradients alone. Otherwise backward runs, the adjoint
+// δ_{L+1} is returned and every parameter gradient is cleared afterwards.
+// In both cases Algorithm 1 shields the shallow region afterwards — the
+// vertices and their parents are recorded either way, so the enclave sees
+// the same stores.
 func (s *ShieldedModel) Query(x *tensor.Tensor, loss LossFn) (*QueryResult, error) {
 	// The defender flushes the previous pass's objects; Table I reports the
 	// worst-case peak of a single pass.
@@ -105,6 +114,7 @@ func (s *ShieldedModel) Query(x *tensor.Tensor, loss LossFn) (*QueryResult, erro
 	}
 	g := s.g
 	g.Release()
+	g.SetInference(loss == nil)
 	in := g.Input(x, "x")
 	boundary, logits := s.model.Forward(g, in)
 
@@ -120,19 +130,22 @@ func (s *ShieldedModel) Query(x *tensor.Tensor, loss LossFn) (*QueryResult, erro
 		}
 	}
 
-	report, err := Protect(g, s.enclave, []*autograd.Value{boundary}, s.pass)
+	sel := []*autograd.Value{boundary}
+	report, err := Protect(g, s.enclave, sel, s.pass)
 	if err != nil {
 		return nil, fmt.Errorf("core: shielding pass %d: %w", s.pass, err)
 	}
 	res.Report = report
-	// Gradients accumulated into the persistent parameters during this pass
-	// now live in the enclave (for the shielded region) or belong to the
-	// attacker's transient view (clear region); neither may linger in the
-	// defender's optimizer state.
-	for _, p := range s.model.Params() {
-		p.ZeroGrad()
+	if loss != nil {
+		// Gradients accumulated into the persistent parameters during this
+		// pass now live in the enclave (for the shielded region) or belong
+		// to the attacker's transient view (clear region); neither may
+		// linger in the defender's optimizer state.
+		for _, p := range s.params {
+			p.ZeroGrad()
+		}
 	}
-	if bad := VerifyScrubbed([]*autograd.Value{boundary}); bad != nil {
+	if bad := VerifyScrubbed(sel); bad != nil {
 		return nil, fmt.Errorf("core: vertex u%d (%s) escaped the shield", bad.ID(), bad.Op())
 	}
 	return res, nil

@@ -11,6 +11,12 @@
 // enclave footprints can be computed analytically without allocating
 // 500 MB+ models.
 //
+// A model has one Forward. Whether a pass is taped (training, gradient
+// oracles) or tape-free is the graph's business: Logits, Predict and
+// Accuracy run Forward on a graph in autograd's inference mode, which
+// returns the same logits bit for bit, records no backward closure and
+// never touches Param.Grad.
+//
 // Models are not safe for concurrent mutation: training and weight loads
 // (fl.Apply) must be exclusive, while concurrent forward passes over
 // frozen weights are fine when each goroutine brings its own graph.

@@ -49,9 +49,11 @@ func (f Footprint) Portion() float64 {
 	return float64(f.TEEBytes()) / float64(f.TotalModelBytes)
 }
 
-// Logits runs a plain inference pass and returns the logits tensor.
+// Logits runs a plain inference pass — the graph's inference mode: no
+// backward closures, no Param.Grad — and returns the logits tensor.
 func Logits(m Model, x *tensor.Tensor) *tensor.Tensor {
 	g := autograd.NewGraph()
+	g.SetInference(true)
 	_, logits := m.Forward(g, g.Input(x, "x"))
 	return logits.Data
 }

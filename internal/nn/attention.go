@@ -46,13 +46,9 @@ func (m *MultiHeadSelfAttention) Forward(g *autograd.Graph, x *autograd.Value) *
 	h := m.Heads
 	dh := d / h
 
-	split := func(v *autograd.Value) *autograd.Value {
-		// [B,T,D] -> [B,T,h,dh] -> [B,h,T,dh] -> [B*h,T,dh]
-		return g.Reshape(g.Permute(g.Reshape(v, b, t, h, dh), 0, 2, 1, 3), b*h, t, dh)
-	}
-	q := split(m.Wq.Forward(g, x))
-	k := split(m.Wk.Forward(g, x))
-	v := split(m.Wv.Forward(g, x))
+	q := splitHeads(g, m.Wq.Forward(g, x), b, t, h, dh)
+	k := splitHeads(g, m.Wk.Forward(g, x), b, t, h, dh)
+	v := splitHeads(g, m.Wv.Forward(g, x), b, t, h, dh)
 
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	var ctx *autograd.Value
@@ -70,6 +66,12 @@ func (m *MultiHeadSelfAttention) Forward(g *autograd.Graph, x *autograd.Value) *
 	// [B*h,T,dh] -> [B,h,T,dh] -> [B,T,h,dh] -> [B,T,D]
 	merged := g.Reshape(g.Permute(g.Reshape(ctx, b, h, t, dh), 0, 2, 1, 3), b, t, d)
 	return m.Wo.Forward(g, merged)
+}
+
+// splitHeads lays a [B,T,D] projection out per head:
+// [B,T,D] -> [B,T,h,dh] -> [B,h,T,dh] -> [B*h,T,dh].
+func splitHeads(g *autograd.Graph, v *autograd.Value, b, t, h, dh int) *autograd.Value {
+	return g.Reshape(g.Permute(g.Reshape(v, b, t, h, dh), 0, 2, 1, 3), b*h, t, dh)
 }
 
 // Params implements Module.

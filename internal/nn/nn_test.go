@@ -151,6 +151,32 @@ func TestMHSAFusedMatchesRecordedBitwise(t *testing.T) {
 	}
 }
 
+// An inference pass skips the tape, not the artifacts its consumer asked
+// for: with RequestRecorded the attention maps are still recorded, and they
+// (and the block output) carry the taped pass's bits.
+func TestInferencePassStillRecordsAttention(t *testing.T) {
+	rng := tensor.NewRNG(22)
+	m := NewMHSA("attn", 16, 4, rng)
+	x := rng.Normal(0, 1, 3, 9, 16)
+
+	run := func(inference bool) (y, attn *tensor.Tensor) {
+		g := autograd.NewGraph()
+		g.SetInference(inference)
+		g.RequestRecorded(autograd.RecordAttention)
+		out := m.Forward(g, g.Input(x, "x"))
+		maps := g.Recorded(autograd.RecordAttention)
+		if len(maps) != 1 {
+			t.Fatalf("inference=%v: %d attention maps recorded, want 1", inference, len(maps))
+		}
+		return out.Data, maps[0].Data
+	}
+	yT, aT := run(false)
+	yI, aI := run(true)
+	if !yI.AllClose(yT, 0) || !aI.AllClose(aT, 0) {
+		t.Fatal("inference pass output or attention map differs from the taped pass")
+	}
+}
+
 func TestMHSARejectsIndivisibleHeads(t *testing.T) {
 	defer func() {
 		if recover() == nil {

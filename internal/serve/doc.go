@@ -6,11 +6,21 @@
 //   - Replica / ReplicaPool — N independent sequential inference engines
 //     behind one handle. A shielded replica owns its own enclave, model
 //     copy and pooled graph arena (core.ShieldedModel is sequential-only);
-//     NewShieldedPool and NewClearPool build the two flavors.
+//     NewShieldedPool and NewClearPool build the two flavors. Both run
+//     every batch in autograd's inference mode: no backward closure, no
+//     Param.Grad read or written, same logits bit for bit.
 //   - Service — the micro-batching scheduler: Submit enqueues one sample,
 //     a batcher coalesces queued requests into tensor batches under a
 //     MaxBatch/MaxDelay policy, and one worker goroutine per live replica
-//     runs batches and fans logit rows back to per-request futures.
+//     runs batches and fans logit rows back to per-request futures. A
+//     panic under Replica.Logits (a shape or bounds check in the kernels)
+//     is recovered on the worker and handled like a returned error: every
+//     line of that batch leaves with the error outcome, the worker keeps
+//     running and the same replica serves the next batch — its pass starts
+//     with Release/FlushAll, which rebuild arena and enclave state. Only
+//     the worker's own goroutine is covered (a panic on a kernel helper
+//     goroutine still ends the process); quarantining and rebuilding a
+//     replica that keeps failing is not done here.
 //   - Config — batching policy plus admission control: the queue is
 //     bounded (QueueDepth) and requests are shed with the typed
 //     ErrOverloaded when the queue is full or a deadline expires before

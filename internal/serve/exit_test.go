@@ -212,6 +212,64 @@ func TestOutcomeAccounting(t *testing.T) {
 	}
 }
 
+// panickyReplica is a stubReplica whose first batch panics, the way a shape
+// check deep under a real replica's Logits would.
+type panickyReplica struct {
+	*stubReplica
+	calls atomic.Int32
+}
+
+func (r *panickyReplica) Logits(x *tensor.Tensor) (*tensor.Tensor, error) {
+	if r.calls.Add(1) == 1 {
+		panic("tensor: shape mismatch in the first batch")
+	}
+	return r.stubReplica.Logits(x)
+}
+
+// TestReplicaPanicContained: a panic under Replica.Logits costs its batch,
+// not the process. The lines of that batch leave with the error outcome
+// (counted, traced, the panic value in the error), the worker survives and
+// serves the next batch on the same replica, and the books balance at rest.
+func TestReplicaPanicContained(t *testing.T) {
+	pool, err := NewReplicaPool(1, func(int) (Replica, error) {
+		return &panickyReplica{stubReplica: newStubReplica()}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewService(pool, Config{MaxBatch: 1, Trace: &TraceConfig{Sample: 0}})
+
+	_, err = s.Submit("t", sample(1), time.Time{})
+	if err == nil || !strings.Contains(err.Error(), "replica failed") || !strings.Contains(err.Error(), "shape mismatch") {
+		t.Fatalf("first submit: err %v, want a replica failure carrying the panic value", err)
+	}
+	if errors.Is(err, ErrOverloaded) {
+		t.Fatalf("panic reported as overload: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Submit("t", sample(1), time.Time{}); err != nil {
+			t.Fatalf("submit %d after the panic: %v", i, err)
+		}
+	}
+	s.Close()
+
+	snap := s.Metrics().Snapshot()
+	if len(snap.Routes) != 1 {
+		t.Fatalf("routes %+v, want only t", snap.Routes)
+	}
+	r := snap.Routes[0]
+	if r.Errors != 1 || r.Served != 3 || r.Shed != 0 || r.Rejected != 0 {
+		t.Errorf("route %+v, want 1 error and 3 served", r)
+	}
+	if r.Requests != r.Served+r.Shed+r.Rejected+r.Errors || r.Offered != r.Requests {
+		t.Errorf("route %+v: offered, requests and the outcome sum disagree at rest", r)
+	}
+	recs := s.Tracer().Records()
+	if len(recs) != 1 || recs[0].Outcome != obs.OutcomeError {
+		t.Errorf("spans %+v, want one with outcome %q", recs, obs.OutcomeError)
+	}
+}
+
 // TestSubmitRejectsNonFinite pins the non-finite bugfix: a NaN or ±Inf
 // pixel used to be served (NaN logits, class 0, counted served) after
 // fingerprinting to the zero vector in the client's detector window. It is

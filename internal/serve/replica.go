@@ -48,8 +48,9 @@ func (r *ShieldedReplica) Logits(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return res.Logits, nil
 }
 
-// ClearReplica serves inference without a shield: a pooled forward-only
-// graph arena over the model, for the -shield=false baseline.
+// ClearReplica serves inference without a shield: a pooled graph arena in
+// inference mode (no backward closures, no Param.Grad) over the model, for
+// the -shield=false baseline.
 type ClearReplica struct {
 	M models.Model
 
@@ -72,7 +73,7 @@ func (r *ClearReplica) InputShape() []int { return r.M.InputShape() }
 func (r *ClearReplica) Logits(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if r.g == nil {
 		r.g = autograd.NewGraphWithPool(tensor.NewPool())
-		r.g.SetTrackParamGrads(false)
+		r.g.SetInference(true)
 	}
 	r.g.Release()
 	_, logits := r.M.Forward(r.g, r.g.Input(x, "x"))

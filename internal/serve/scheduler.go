@@ -548,7 +548,7 @@ func (s *Service) worker(rep Replica, h *workerHandle) {
 				kBefore = s.kernels.SnapshotNS()
 			}
 		}
-		logits, err := rep.Logits(view)
+		logits, err := safeLogits(rep, view)
 		done := s.cfg.Clock.Now()
 		var kDelta [3]int64
 		if tr != nil && s.kernels != nil {
@@ -594,4 +594,19 @@ func (s *Service) worker(rep Replica, h *workerHandle) {
 			}}
 		}
 	}
+}
+
+// safeLogits runs one batch on rep and turns a panic under it — the shape
+// and bounds checks of tensor, autograd, nn and models all sit below this
+// call — into the error the worker already handles: a fault costs its batch
+// the answers (every line leaves with the error outcome), not the process
+// its life. The replica is used again: its next pass starts with
+// Release/FlushAll, which rebuild arena and enclave state.
+func safeLogits(rep Replica, x *tensor.Tensor) (logits *tensor.Tensor, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			logits, err = nil, fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return rep.Logits(x)
 }

@@ -383,11 +383,11 @@ func ConvTranspose2dInto(p *Pool, dst, x, weight *Tensor, stride, pad int) {
 // into the pre-allocated out [B,C,oh,ow], overwriting it, and stores in the
 // caller-provided (e.g. pooled) idx, of length B*C*oh*ow, the flat argmax
 // index of every output element within its sample's [C,H,W] layout, used by
-// the backward pass.
+// the backward pass. A nil idx (a forward-only caller) records no indices.
 func MaxPool2dIdxInto(out, x *Tensor, k, s int, idx []int) {
 	b, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh, ow := ConvOut(h, k, s, 0), ConvOut(w, k, s, 0)
-	if len(out.data) != b*c*oh*ow || len(idx) != b*c*oh*ow {
+	if len(out.data) != b*c*oh*ow || (idx != nil && len(idx) != b*c*oh*ow) {
 		panic(fmt.Sprintf("tensor: MaxPool2dIdxInto destination %v incompatible", out.shape))
 	}
 	for i := 0; i < b; i++ {
@@ -417,7 +417,9 @@ func MaxPool2dIdxInto(out, x *Tensor, k, s int, idx []int) {
 					}
 					o := ch*oh*ow + oy*ow + ox
 					oi[o] = best
-					idx[i*c*oh*ow+o] = bestIdx
+					if idx != nil {
+						idx[i*c*oh*ow+o] = bestIdx
+					}
 				}
 			}
 		}

@@ -47,7 +47,9 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			// Format a copy: handing shape itself to fmt would make every
+			// caller's shape argument escape to the heap.
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}
