@@ -1,4 +1,4 @@
-// Command peltaserve serves shielded inference over HTTP and load-tests it.
+// Command peltaserve serves shielded inference over HTTP.
 //
 // The binary wraps internal/serve around a (optionally checkpoint-warmed)
 // ViT defender: -replicas independent Pelta-shielded replicas behind the
@@ -13,7 +13,7 @@
 // confines an adversarial probe flood to its own token bucket). With both
 // flags unset the deployment is the static scheduler of earlier releases.
 //
-// Serving mode (default) listens on -addr:
+// The server listens on -addr:
 //
 //	POST /query   — NDJSON, one {"x":[...],"deadline_ms":n} per line;
 //	                one {"class":c,"ms":t,"batch":b} per line back
@@ -27,18 +27,12 @@
 // profile). SIGINT/SIGTERM drain it: stop accepting, give requests in
 // flight 15 s, then close the scheduler — a clean exit, status 0.
 //
-// Load-generator mode (-loadgen) skips HTTP and drives the service
-// in-process with mixed traffic — benign validation samples plus FGSM/PGD
-// probes crafted against the same weights (-adv-frac, -attack) — along an
-// open-loop phase trace, then prints the serving report: the per-phase,
-// per-route shed table, throughput, exact latency quantiles, benign
-// accuracy and robust accuracy under attack traffic ("n/a" when a stream
-// served nothing). There is one load mode: -phases gives the trace
-// ("rate:dur:advfrac,..." steps — the harness behind the CI autoscale
-// smoke cell and the README's static-vs-autoscaled table), and without it
-// the trace is the single phase that launches -n requests at -rate with
-// the pool's adversarial share. -benchjson dumps the same numbers
-// machine-readably; CI's autoscale, trace and detection gates parse it.
+// -detect turns on the stateful probe detector (-detect-k, -detect-thresh,
+// -detect-window, -detect-action), keyed by the X-Pelta-Client header;
+// -trace-sample streams span records on GET /trace and -pprof mounts
+// net/http/pprof. Load testing lives outside the binary: bench/ drives the
+// real HTTP surface, and the control-plane, trace and detection gates are
+// go test assertions in internal/serve and internal/eval.
 //
 // Weights warm-start from an internal/fl checkpoint (-checkpoint) written
 // by cmd/flsim or fl.SaveCheckpoint; a stamped checkpoint's provenance

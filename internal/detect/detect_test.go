@@ -15,24 +15,19 @@ import (
 // refNeighbors is the independent O(n²)-style reference: every pairwise
 // distance computed by its own loop, fully sorted with explicit (dist,
 // index) ordering, then truncated — deliberately sharing no code with
-// Neighbors beyond the metric definition.
-func refNeighbors(vecs [][]float32, q []float32, k int, m Metric) []Neighbor {
+// Neighbors beyond the distance definition.
+func refNeighbors(vecs [][]float32, q []float32, k int) []Neighbor {
 	type pair struct {
 		i int
 		d float64
 	}
 	var all []pair
 	for i, v := range vecs {
-		var dot, ss float64
+		var dot float64
 		for j := range v {
 			dot += float64(q[j]) * float64(v[j])
-			diff := float64(q[j]) - float64(v[j])
-			ss += diff * diff
 		}
 		d := 1 - dot
-		if m == L2 {
-			d = math.Sqrt(ss)
-		}
 		all = append(all, pair{i: i, d: d})
 	}
 	sort.Slice(all, func(a, b int) bool {
@@ -52,8 +47,8 @@ func refNeighbors(vecs [][]float32, q []float32, k int, m Metric) []Neighbor {
 }
 
 // TestNeighborsMatchesReference pins the brute-force index against the
-// independent reference on random fingerprints, for both metrics and
-// several k, including exact-duplicate vectors that force distance ties.
+// independent reference on random fingerprints, for several k, including
+// exact-duplicate vectors that force distance ties.
 func TestNeighborsMatchesReference(t *testing.T) {
 	rng := tensor.NewRNG(42)
 	const n, dim = 60, 24
@@ -77,26 +72,24 @@ func TestNeighborsMatchesReference(t *testing.T) {
 	vecs[41] = vecs[3]
 	vecs[55] = vecs[12]
 
-	for _, m := range []Metric{Cosine, L2} {
-		for _, k := range []int{1, 2, 3, 7, n, n + 5} {
-			for qi := 0; qi < 10; qi++ {
-				q := vecs[qi*5]
-				got := Neighbors(vecs, q, k, m)
-				want := refNeighbors(vecs, q, k, m)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("metric %v k=%d query %d:\n got %v\nwant %v", m, k, qi, got, want)
-				}
+	for _, k := range []int{1, 2, 3, 7, n, n + 5} {
+		for qi := 0; qi < 10; qi++ {
+			q := vecs[qi*5]
+			got := Neighbors(vecs, q, k)
+			want := refNeighbors(vecs, q, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d query %d:\n got %v\nwant %v", k, qi, got, want)
 			}
 		}
 	}
 
 	// Tie ordering explicitly: querying with the duplicated vector must
 	// rank indices 3, 7, 41 in insertion order at distance 0.
-	nn := Neighbors(vecs, vecs[3], 3, Cosine)
+	nn := Neighbors(vecs, vecs[3], 3)
 	if nn[0].Index != 3 || nn[1].Index != 7 || nn[2].Index != 41 {
 		t.Fatalf("tie ordering = %v, want indices 3,7,41", nn)
 	}
-	if KthDistance(vecs[:1], vecs[0], 2, Cosine) != math.Inf(1) {
+	if KthDistance(vecs[:1], vecs[0], 2) != math.Inf(1) {
 		t.Fatal("KthDistance below k vectors must be +Inf")
 	}
 }
@@ -307,7 +300,7 @@ func TestFingerprintInvariances(t *testing.T) {
 	for i, v := range bright.Data() {
 		bright.Data()[i] = v + 0.08
 	}
-	if d := Distance(fp, Fingerprint(bright, 8), Cosine); d > 1e-6 {
+	if d := Distance(fp, Fingerprint(bright, 8)); d > 1e-6 {
 		t.Fatalf("brightness offset moved the fingerprint by %v", d)
 	}
 	if got := Fingerprint(tensor.New(7), 4); len(got) != 16 {

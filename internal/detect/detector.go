@@ -16,15 +16,12 @@ import (
 type Config struct {
 	// Grid is the fingerprint pooling grid per side (default DefaultGrid).
 	Grid int
-	// Metric selects cosine or L2 k-NN (default Cosine).
-	Metric Metric
 	// K consults the K-th nearest neighbor (default 2): one accidental
 	// near-duplicate never scores a hit, a probe stream has arbitrarily
 	// many.
 	K int
 	// Threshold is the K-th-NN distance at or below which a query counts
-	// as a near-duplicate hit. Default 0.01 under Cosine, 0.14 under L2
-	// (the same ball: ‖a−b‖ = √(2·0.01) on unit vectors). The default
+	// as a near-duplicate hit (cosine distance, default 0.01). The default
 	// sits an order of magnitude above typical ε-ball iterate distances
 	// and several times below the closest same-class benign pairs of the
 	// synthetic CIFAR traffic.
@@ -57,11 +54,7 @@ func (c Config) withDefaults() Config {
 		c.K = 2
 	}
 	if c.Threshold <= 0 {
-		if c.Metric == L2 {
-			c.Threshold = 0.14
-		} else {
-			c.Threshold = 0.01
-		}
+		c.Threshold = 0.01
 	}
 	if c.Window <= 0 {
 		c.Window = 64
@@ -215,7 +208,7 @@ func (d *Detector) ObserveFingerprint(client string, fp []float32, now time.Time
 	for i := range vecs {
 		vecs[i] = c.ring[(c.head+i)%len(c.ring)].fp
 	}
-	dist := KthDistance(vecs, fp, d.cfg.K, d.cfg.Metric)
+	dist := KthDistance(vecs, fp, d.cfg.K)
 	hit := dist <= d.cfg.Threshold
 
 	// Slide the m-of-w window.

@@ -17,7 +17,8 @@
 //     L2-normalized. Plain sequential loops, so fingerprints are
 //     bit-identical at any kernel worker count.
 //   - Neighbors / Distance — brute-force k-NN over a fingerprint set under
-//     Cosine or L2, with deterministic tie ordering (equal distances rank
+//     cosine distance (one minus the inner product of the normalized
+//     fingerprints), with deterministic tie ordering (equal distances rank
 //     by insertion order). At ring-buffer scale (≤ a few hundred entries)
 //     flat search beats any index structure and stays exactly
 //     reproducible.

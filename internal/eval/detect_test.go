@@ -36,8 +36,8 @@ func detectService(t *testing.T, shape []int, n, maxBatch int) *serve.Service {
 	})
 }
 
-// goldenStreams builds the seeded ~200-query golden trace: benign clients
-// drawn from synthetic CIFAR plus one recorded APGD run.
+// goldenStreams builds the seeded golden trace: benign clients drawn from
+// synthetic CIFAR plus one recorded APGD run and one recorded PGD run.
 func goldenStreams(t *testing.T) []serve.QueryStream {
 	t.Helper()
 	m := models.NewViT(models.SmallViT("vit-detect", 10, 16, 4), tensor.NewRNG(1))
@@ -46,7 +46,7 @@ func goldenStreams(t *testing.T) []serve.QueryStream {
 		TrainN: 140, ValN: 1, Seed: 7, Noise: 0.06, Waves: 3,
 	})
 	streams, err := BuildDetectStreams(m, d, DetectTraceConfig{
-		Families:      []string{"apgd"},
+		Families:      []string{"apgd", "pgd"},
 		ProbeQueries:  96,
 		BenignClients: 8,
 		BenignQueries: 13,
@@ -61,18 +61,20 @@ func goldenStreams(t *testing.T) []serve.QueryStream {
 }
 
 // TestDetectGoldenTrace is the detection-quality gate: on the seeded
-// benign+APGD trace the detector must flag at least 90% of the probe
-// queries while false-positive-flagging at most 5% of the benign ones —
-// and the rendered per-family table must be bit-identical across two runs
-// with different replica and batch configurations.
+// benign+APGD+PGD trace the detector must flag at least 90% of the probe
+// queries, in aggregate and per family, while false-positive-flagging at
+// most 5% of the benign ones — and the rendered per-family table must be
+// bit-identical across two runs with different replica and batch
+// configurations.
 func TestDetectGoldenTrace(t *testing.T) {
 	streams := goldenStreams(t)
 	var total int
 	for _, st := range streams {
 		total += len(st.Items)
 	}
-	if total < 190 || total > 210 {
-		t.Fatalf("golden trace has %d queries, want ~200", total)
+	// 8×13 benign queries plus up to 96 recorded queries per probe family.
+	if total < 285 || total > 305 {
+		t.Fatalf("golden trace has %d queries, want ~300", total)
 	}
 
 	render := make([]string, 2)
@@ -85,6 +87,11 @@ func TestDetectGoldenTrace(t *testing.T) {
 		}
 		sum := SummarizeDetect(rep)
 		render[run] = sum.Render()
+		for _, l := range sum.Families {
+			if r, ok := l.Rate(); l.Probe && (!ok || r < 0.90) {
+				t.Fatalf("run %d: %s detection rate %.3f (ok=%v), want >= 0.90\n%s", run, l.Family, r, ok, render[run])
+			}
+		}
 
 		det, ok := rep.DetectionRate()
 		if !ok || det < 0.90 {

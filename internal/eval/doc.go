@@ -9,18 +9,16 @@
 // condenses them into per-attack shield deltas, IID-vs-skewed accuracy and
 // engine throughput. Quantiles is the exact sorted-slice p50/p95/p99 shared
 // by the sweep summaries and (as the validation reference for the P²
-// streaming sketches) the internal/serve metrics; SummarizeServePhases
-// renders a serving load-generator run — one fixed-rate phase or a phased
-// burst trace — as a per-phase, per-route shed/latency table (zero-served
-// accuracies read "n/a", never a fake 0%).
+// streaming sketches) the internal/serve metrics.
 //
-// The detection-quality harness scores the serving layer's stateful probe
-// detector: BuildDetectStreams records real attack runs (fgsm, pgd, apgd,
-// saga, square) through attack.RecordingOracle — every oracle query is one
-// probe the service would have seen — and interleaves them with benign
-// client streams; SummarizeDetect condenses the replayed serve.DetectReport
-// into the per-family detection-rate vs benign-FPR table (empty families
-// render "n/a", following the same convention).
+// The detection-quality harness runs only under go test; it scores the
+// serving layer's stateful probe detector (TestDetectGoldenTrace gates it at ≥ 90%
+// detection, ≤ 5% benign FPR): BuildDetectStreams records real attack runs
+// (fgsm, pgd, apgd, saga, square) through attack.RecordingOracle — every
+// oracle query is one probe the service would have seen — and interleaves
+// them with benign client streams; SummarizeDetect condenses the replayed
+// serve.DetectReport into the per-family detection-rate vs benign-FPR
+// table (empty families render "n/a", never a fake 0%).
 //
 // The trace summaries consume the observability layer's span records:
 // SummarizeTrace condenses obs.SpanRecords into a per-route × per-stage
@@ -28,11 +26,12 @@
 // end-to-end mean — the five stages partition the span exactly, so the
 // shares sum to 100%), with per-kernel attribution and a shed/flag
 // causality table keyed by outcome; ValidateSpans is the structural gate
-// the CI trace smoke cell relies on (negative stage durations, stage sums
-// drifting from the end-to-end span, served spans missing lifecycle
-// offsets all fail); SummarizeRoundSpans renders FL round-phase spans as
-// the train/transport/aggregate/broadcast breakdown line cmd/flsim
-// prints. Evaluation is deterministic
-// given an AttackSet seed; batch fan-out across oracle workers (one per
-// core) never changes results, only wall time.
+// that TestGoldenTraceDeterministic and bench/'s traced pass apply
+// (negative stage durations, stage sums drifting from the end-to-end
+// span, served spans missing lifecycle offsets all fail);
+// SummarizeRoundSpans renders FL round-phase spans as the
+// train/transport/aggregate/broadcast breakdown line cmd/flsim prints.
+// Evaluation is deterministic given an AttackSet seed; batch fan-out
+// across oracle workers (one per core) never changes results, only wall
+// time.
 package eval

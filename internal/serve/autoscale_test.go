@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -284,5 +286,155 @@ func TestAutoscaleBurstDeterministic(t *testing.T) {
 	second := runAutoscaleBurst(t)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("burst trace not reproducible:\n run1 %+v\n run2 %+v", first, second)
+	}
+}
+
+// burstOutcome is what one control-plane burst run is judged on.
+type burstOutcome struct {
+	BenignShed, AdvShed uint64
+	Events              []ScaleEvent
+}
+
+// runControlBurst plays one scripted benign + adv burst on a fake clock
+// against 4 gated stub replicas (QueueDepth 8, MaxBatch 1) under the given
+// autoscale bounds and admission, and returns the per-route shed counts:
+//
+//   - t+0: the calm phase, 2 adv then 8 benign requests, exactly fills one
+//     replica (1 serving + 1 staged + 8 queued);
+//   - t+10…t+50: five autoscale ticks (an autoscaler with room climbs 1→4,
+//     freeing three queue slots);
+//   - t+50: the burst, 6 adv then 3 benign requests.
+//
+// Replicas stay gated until the end, so every shed is decided by queue
+// room and token buckets alone. Requests are submitted one at a time and
+// each is settled before the next, which makes the counts exact.
+func runControlBurst(t *testing.T, as AutoscaleConfig, adm *AdmissionConfig) burstOutcome {
+	t.Helper()
+	const interval = 10 * time.Millisecond
+	as.Interval, as.Cooldown = interval, 2*interval
+	fc := newFakeClock()
+	reps := make([]*stubReplica, 4)
+	for i := range reps {
+		reps[i] = newStubReplica()
+		reps[i].gate = make(chan struct{})
+	}
+	s := NewService(stubPool(t, reps...), Config{
+		MaxBatch:   1,
+		QueueDepth: 8,
+		Clock:      fc,
+		Autoscale:  &as,
+		Admission:  adm,
+	})
+	defer s.Close()
+	open := openGatesOnce(reps...)
+	defer open()
+
+	var wg sync.WaitGroup
+	var launched int
+	var returned atomic.Int32
+	// settled: every request not yet answered sits on a busy live replica,
+	// in the batcher's one staged batch, or in the queue — nothing is in
+	// transit, so the next arrival sees the true queue room.
+	settled := func() bool {
+		held := launched - int(returned.Load())
+		busy := 0
+		for _, r := range reps {
+			busy += int(r.serving.Load())
+		}
+		if want := min(s.LiveReplicas(), held); busy != want {
+			return false
+		}
+		staged := 0
+		if held > busy {
+			staged = 1
+		}
+		return len(s.queue) == held-busy-staged
+	}
+	submit := func(script string) {
+		for _, c := range script {
+			route := "benign"
+			if c == 'a' {
+				route = "adv"
+			}
+			launched++
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer returned.Add(1)
+				if _, err := s.Submit(route, sample(1), time.Time{}); err != nil && !errors.Is(err, ErrOverloaded) {
+					t.Errorf("%s submit: %v", route, err)
+				}
+			}()
+			waitFor(t, settled)
+		}
+	}
+
+	submit("aabbbbbbbb")
+	for i := 0; i < 5; i++ {
+		tickOnce(t, fc, interval)
+		waitFor(t, settled)
+	}
+	submit("aaaaaabbb")
+	open()
+	wg.Wait()
+
+	var out burstOutcome
+	for _, r := range s.Metrics().Snapshot().Routes {
+		switch r.Route {
+		case "benign":
+			out.BenignShed = r.Shed
+		case "adv":
+			out.AdvShed = r.Shed
+		}
+	}
+	out.Events = s.ScaleEvents()
+	return out
+}
+
+// TestControlPlaneShedsLessBenign is the control-plane acceptance gate: on
+// the same scripted burst, the autoscaled fleet (1–4 replicas) with
+// weighted-fair admission (benign=8, adv=1) must shed strictly fewer benign
+// requests than a static single replica. Both halves are needed: the
+// autoscaler frees the queue room and admission keeps the adv flood out of
+// it — a no-op autoscaler leaves no room, and weightless buckets hand the
+// room to the flood, so either regression ties the static baseline. Each
+// configuration runs twice and must replay identically.
+func TestControlPlaneShedsLessBenign(t *testing.T) {
+	static := func() burstOutcome { return runControlBurst(t, AutoscaleConfig{Min: 1, Max: 1}, nil) }
+	// Rate 18 split 8:1 gives the benign bucket 16 tokens and the adv
+	// bucket 2, refilled at 16/s and 2/s on the fake clock.
+	controlled := func() burstOutcome {
+		return runControlBurst(t, AutoscaleConfig{Min: 1, Max: 4},
+			&AdmissionConfig{Rate: 18, Weights: map[string]float64{"benign": 8, "adv": 1}})
+	}
+
+	base := time.Unix(1000, 0)
+	got := make(map[string]burstOutcome)
+	for _, tc := range []struct {
+		name string
+		run  func() burstOutcome
+		want burstOutcome
+	}{
+		// Static: the calm phase fills the only replica, the whole burst sheds.
+		{"static", static, burstOutcome{BenignShed: 3, AdvShed: 6}},
+		// Controlled: three scale-ups free three slots, the adv bucket is dry
+		// at the burst, and the three benign requests take the room.
+		{"controlled", controlled, burstOutcome{BenignShed: 0, AdvShed: 6, Events: []ScaleEvent{
+			{At: base.Add(10 * time.Millisecond), From: 1, To: 2, Reason: "queue-depth"},
+			{At: base.Add(30 * time.Millisecond), From: 2, To: 3, Reason: "queue-depth"},
+			{At: base.Add(50 * time.Millisecond), From: 3, To: 4, Reason: "queue-depth"},
+		}}},
+	} {
+		first, second := tc.run(), tc.run()
+		if !reflect.DeepEqual(first, tc.want) {
+			t.Errorf("%s run\n got %+v\nwant %+v", tc.name, first, tc.want)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s run not reproducible:\n run1 %+v\n run2 %+v", tc.name, first, second)
+		}
+		got[tc.name] = first
+	}
+	if s, c := got["static"].BenignShed, got["controlled"].BenignShed; c >= s {
+		t.Fatalf("controlled benign shed %d not below static %d", c, s)
 	}
 }

@@ -53,11 +53,12 @@
 //     when tracing, is stamped on the always-emitted span. So requests =
 //     served + shed + rejected + errors by construction, and offered −
 //     requests is the in-flight count.
-//   - RunLoadPhases — the open-loop load generator over a mixed benign +
+//   - RunLoadPhases — the open-loop test harness over a mixed benign +
 //     adversarial traffic pool: it fires a LoadPhase trace (rate ×
 //     duration × adv-frac steps — ramps, bursts, diurnal shapes; one phase
 //     is a fixed-rate run) with per-phase, per-route accounting. All
 //     pacing, deadline stamps and latency measurements read the service
+//     clock, so the control-plane and trace goldens replay it on a fake
 //     clock.
 //   - NewHandler — the HTTP surface (NDJSON /query, /metrics, /healthz)
 //     used by cmd/peltaserve. /query summarizes its line outcomes in
@@ -102,7 +103,7 @@
 //     per-route metrics (probed, probe_hits, flagged_queries, detect_shed
 //     — a subset of shed: the shed-detect outcome counts into both) and
 //     the flag_events total.
-//   - QueryStream / RunDetectLoad — the detection loadgen: labeled
+//   - QueryStream / RunDetectLoad — the detection test harness: labeled
 //     per-client query streams (benign callers vs recorded attack runs)
 //     replayed concurrently across streams but strictly in order within
 //     each, yielding per-query flag verdicts a DetectReport scores as

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -209,45 +207,6 @@ type LoadPhase struct {
 	AdvFrac  float64       `json:"adv_frac"`
 }
 
-// String renders the phase in the -phases flag syntax.
-func (p LoadPhase) String() string {
-	return fmt.Sprintf("%g:%s:%g", p.Rate, p.Duration, p.AdvFrac)
-}
-
-// ParsePhases parses a phase trace spec: comma-separated
-// "rate:duration:advfrac" steps, e.g. "200:2s:0.1,800:1s:0.5,200:2s:0.1"
-// (the adv fraction may be omitted for pure benign phases).
-func ParsePhases(spec string) ([]LoadPhase, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	var phases []LoadPhase
-	for _, part := range strings.Split(spec, ",") {
-		fields := strings.Split(strings.TrimSpace(part), ":")
-		if len(fields) < 2 || len(fields) > 3 {
-			return nil, fmt.Errorf("serve: phase %q, want rate:duration[:advfrac]", part)
-		}
-		rate, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil || !positiveFinite(rate) {
-			return nil, fmt.Errorf("serve: phase %q needs a positive rate", part)
-		}
-		dur, err := time.ParseDuration(fields[1])
-		if err != nil || dur <= 0 {
-			return nil, fmt.Errorf("serve: phase %q needs a positive duration", part)
-		}
-		p := LoadPhase{Rate: rate, Duration: dur}
-		if len(fields) == 3 {
-			f, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil || !(f >= 0 && f <= 1) {
-				return nil, fmt.Errorf("serve: phase %q needs adv frac in [0,1]", part)
-			}
-			p.AdvFrac = f
-		}
-		phases = append(phases, p)
-	}
-	return phases, nil
-}
-
 // PhaseReport is one phase's slice of a phased run.
 type PhaseReport struct {
 	Phase LoadPhase `json:"phase"`
@@ -281,15 +240,15 @@ func RunLoadPhases(s *Service, items []TrafficItem, phases []LoadPhase, cfg Load
 			benign = append(benign, i)
 		}
 	}
-	for _, p := range phases {
+	for i, p := range phases {
 		if !positiveFinite(p.Rate) || p.Duration <= 0 || !(p.AdvFrac >= 0 && p.AdvFrac <= 1) {
-			return nil, fmt.Errorf("serve: phase %s needs a positive finite rate, a positive duration and an adv frac in [0,1]", p)
+			return nil, fmt.Errorf("serve: phase %d (%g req/s for %v, adv frac %g) needs a positive finite rate, a positive duration and an adv frac in [0,1]", i, p.Rate, p.Duration, p.AdvFrac)
 		}
 		if p.AdvFrac > 0 && len(adv) == 0 {
-			return nil, fmt.Errorf("serve: phase %s draws adversarial traffic but the pool has none", p)
+			return nil, fmt.Errorf("serve: phase %d (adv frac %g) draws adversarial traffic but the pool has none", i, p.AdvFrac)
 		}
 		if p.AdvFrac < 1 && len(benign) == 0 {
-			return nil, fmt.Errorf("serve: phase %s draws benign traffic but the pool has none", p)
+			return nil, fmt.Errorf("serve: phase %d (adv frac %g) draws benign traffic but the pool has none", i, p.AdvFrac)
 		}
 	}
 

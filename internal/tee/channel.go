@@ -84,8 +84,22 @@ func decodeTensor(buf []byte) (*tensor.Tensor, error) {
 	n := 1
 	for i := range shape {
 		shape[i] = int(binary.LittleEndian.Uint32(buf[off:]))
-		n *= shape[i]
+		if shape[i] == 0 {
+			n = 0
+		}
 		off += 4
+	}
+	// The dims are sender-chosen: bound the running product by the elements
+	// the remaining bytes can hold, so it can neither wrap past the length
+	// check below nor go negative.
+	if n != 0 {
+		limit := (len(buf) - off) / 4
+		for _, d := range shape {
+			if n > limit/d {
+				return nil, fmt.Errorf("tensor shape %v exceeds a %d-byte payload", shape, len(buf))
+			}
+			n *= d
+		}
 	}
 	if len(buf) != off+4*n {
 		return nil, fmt.Errorf("tensor payload length %d does not match shape %v", len(buf), shape)
