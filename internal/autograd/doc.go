@@ -41,6 +41,16 @@
 // allocates nothing for graph bookkeeping; a taped pass allocates its
 // closures.
 //
+// The normalizations share one implementation. LayerNorm (rows of D, a new
+// affine channel every element), GroupNorm2d (rows of C/G·H·W, a new channel
+// every H·W) and WSConv2d's weight standardization (rows of one output
+// channel's kernel, no affine) run one row kernel: float64 two-pass
+// statistics, a float32 (x−m)·(1/σ) normalize-and-affine loop, and one
+// (g − mean(g) − x̂·mean(g⊙x̂))·(1/σ) input gradient. BatchNorm2d takes its
+// statistics across the batch and shares the normalize-and-affine loop and
+// the γ/β-gradient tail, but keeps its own input gradient: its float64
+// γ·(1/σ) scale rounds differently, and the ResNet training goldens pin it.
+//
 // A Graph is confined to one goroutine: concurrent passes use one graph
 // (and one pool) per worker over shared read-only parameters. Given the
 // same inputs, forward and backward are bit-deterministic — reduction

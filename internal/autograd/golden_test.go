@@ -54,6 +54,69 @@ func TestLinearSoftmaxGoldenBits(t *testing.T) {
 	}
 }
 
+// normGolden runs norm on a fresh graph, back-propagates Σ y⊙c and returns
+// the bit hash of y, ∇x and the gradients of params.
+func normGolden(x, c *tensor.Tensor, params []*Param, norm func(g *Graph, in *Value, ps []*Value) *Value) uint64 {
+	g := NewGraph()
+	in := g.Input(x, "x")
+	vs := make([]*Value, len(params))
+	for i, p := range params {
+		p.Grad.Fill(0)
+		vs[i] = g.Param(p)
+	}
+	y := norm(g, in, vs)
+	g.Backward(g.Sum(g.Mul(y, g.Const(c, "c"))))
+	ts := []*tensor.Tensor{y.Data, in.Grad}
+	for _, p := range params {
+		ts = append(ts, p.Grad)
+	}
+	return bitsHash(ts...)
+}
+
+// The LayerNorm, GroupNorm2d and BatchNorm2d hashes were taken while each op
+// still ran its own loops; the shared row kernel reproduces them bit for bit.
+// WSConv2d's moved on purpose: it standardized with a float64 division,
+// (w−m)/σ, and gave 1206170008975585728; it now runs the shared float32
+// (w−m)·(1/σ) forward and the shared backward, a last-ulp difference.
+func TestNormGoldenBits(t *testing.T) {
+	rng := tensor.NewRNG(27)
+	tok := rng.Normal(0, 2, 2, 5, 8)
+	img := rng.Normal(1, 2, 3, 4, 3, 3)
+	cTok := rng.Normal(0, 1, 2, 5, 8)
+	cImg := rng.Normal(0, 1, 3, 4, 3, 3)
+	ln := []*Param{NewParam("ln.g", rng.Normal(1, 0.5, 8)), NewParam("ln.b", rng.Normal(0, 0.5, 8))}
+	gn := []*Param{NewParam("gn.g", rng.Normal(1, 0.5, 4)), NewParam("gn.b", rng.Normal(0, 0.5, 4))}
+	st := NewBatchNormState(4, 0.1)
+	conv := []*Param{NewParam("ws.w", rng.Normal(0.2, 1, 5, 4, 3, 3)), NewParam("ws.b", rng.Normal(0, 1, 5))}
+	cConv := rng.Normal(0, 1, 3, 5, 3, 3)
+
+	for _, tc := range []struct {
+		name string
+		got  uint64
+		want uint64
+	}{
+		{"LayerNorm", normGolden(tok, cTok, ln, func(g *Graph, in *Value, ps []*Value) *Value {
+			return g.LayerNorm(in, ps[0], ps[1])
+		}), 8592384180387139152},
+		{"GroupNorm2d", normGolden(img, cImg, gn, func(g *Graph, in *Value, ps []*Value) *Value {
+			return g.GroupNorm2d(in, ps[0], ps[1], 2)
+		}), 11301766887037743020},
+		{"BatchNorm2d/train", normGolden(img, cImg, gn, func(g *Graph, in *Value, ps []*Value) *Value {
+			return g.BatchNorm2d(in, ps[0], ps[1], st, true)
+		}), 17999580522802964109},
+		{"BatchNorm2d/eval", normGolden(img, cImg, gn, func(g *Graph, in *Value, ps []*Value) *Value {
+			return g.BatchNorm2d(in, ps[0], ps[1], st, false)
+		}), 5307414411266084891},
+		{"WSConv2d", normGolden(img, cConv, conv, func(g *Graph, in *Value, ps []*Value) *Value {
+			return g.WSConv2d(in, ps[0], ps[1], 1, 1)
+		}), 235292027953952735},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s forward+backward hash %d, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
 // Graph.MatMul stays 2-D: the kernels now accept the matrix view of a 3-D
 // left operand, but the [Dim(0), Dim(1)] output the op allocates is too
 // short for it, so the destination check still rejects the call.

@@ -10,6 +10,30 @@ import (
 // Conv2d applies a batched 2-D convolution with weight [O,C,kh,kw] and
 // optional bias [O].
 func (g *Graph) Conv2d(x, w, b *Value, stride, pad int) *Value {
+	return g.conv2d("conv2d", x, w, b, w.Data, nil, stride, pad)
+}
+
+// WSConv2d applies a weight-standardized convolution (BiT / ResNet-v2 stem):
+// the kernel is normalized to zero mean and unit variance per output channel
+// before convolving. Standardization is differentiated through, so training
+// updates the raw weights.
+func (g *Graph) WSConv2d(x, w, b *Value, stride, pad int) *Value {
+	oc := w.Data.Dim(0)
+	fan := w.Data.Len() / oc
+	// 1/σ per output channel is saved for backward only.
+	var invStd []float32
+	if !g.inference {
+		invStd = g.alloc(oc).Data()
+	}
+	wHat := g.alloc(w.Data.Shape()...)
+	normRows(wHat.Data(), nil, invStd, w.Data.Data(), fan, fan, nil, nil)
+	return g.conv2d("wsconv2d", x, w, b, wHat, invStd, stride, pad)
+}
+
+// conv2d is the op behind Conv2d and WSConv2d. kernel is w itself or, for
+// WSConv2d, its standardization, which the op frees and chains the weight
+// gradient through (invStd is then the per-channel 1/σ).
+func (g *Graph) conv2d(op string, x, w, b *Value, kernel *tensor.Tensor, invStd []float32, stride, pad int) *Value {
 	var bias *tensor.Tensor
 	var pb [3]*Value
 	parents := append(pb[:0], x, w)
@@ -17,19 +41,29 @@ func (g *Graph) Conv2d(x, w, b *Value, stride, pad int) *Value {
 		bias = b.Data
 		parents = append(parents, b)
 	}
-	xs, ws := x.Data.Shape(), w.Data.Shape()
-	oh := tensor.ConvOut(xs[2], ws[2], stride, pad)
-	ow := tensor.ConvOut(xs[3], ws[3], stride, pad)
-	out := g.node("conv2d", g.alloc(xs[0], ws[0], oh, ow), parents...)
-	tensor.Conv2dInto(g.pool, out.Data, x.Data, w.Data, bias, stride, pad)
+	xs, ks := x.Data.Shape(), kernel.Shape()
+	oh := tensor.ConvOut(xs[2], ks[2], stride, pad)
+	ow := tensor.ConvOut(xs[3], ks[3], stride, pad)
+	out := g.node(op, g.alloc(xs[0], ks[0], oh, ow), parents...)
+	tensor.Conv2dInto(g.pool, out.Data, x.Data, kernel, bias, stride, pad)
+	standardized := kernel != w.Data
 	if g.inference {
+		if standardized {
+			g.free(kernel)
+		}
 		return out
 	}
 	out.backward = func() {
-		gx, gw, gb := g.convGrads(x, w, b, w.Data, out.Grad, stride, pad)
+		gx, gw, gb := g.convGrads(x, w, b, kernel, out.Grad, stride, pad)
 		g.accum(x, gx)
 		g.free(gx)
 		if gw != nil {
+			if standardized {
+				// Chain through standardization in place:
+				// ∇w = (∇ŵ − mean(∇ŵ) − ŵ·mean(∇ŵ⊙ŵ))/σ per output channel.
+				fan := kernel.Len() / ks[0]
+				normBackward(gw.Data(), gw.Data(), kernel.Data(), invStd, fan, fan, nil, nil, nil)
+			}
 			g.accum(w, gw)
 			g.free(gw)
 		}
@@ -53,89 +87,6 @@ func (g *Graph) convGrads(x, w, b *Value, kernel, gy *tensor.Tensor, stride, pad
 	}
 	tensor.Conv2dBackwardInto(g.pool, gx, gw, gb, x.Data, kernel, gy, stride, pad)
 	return gx, gw, gb
-}
-
-// WSConv2d applies a weight-standardized convolution (BiT / ResNet-v2 stem):
-// the kernel is normalized to zero mean and unit variance per output channel
-// before convolving. Standardization is differentiated through, so training
-// updates the raw weights.
-func (g *Graph) WSConv2d(x, w, b *Value, stride, pad int) *Value {
-	ws := w.Data.Shape()
-	oc := ws[0]
-	fan := w.Data.Len() / oc
-	const eps = 1e-5
-
-	std := make([]float64, oc)
-	wHat := g.alloc(ws...)
-	for o := 0; o < oc; o++ {
-		seg := w.Data.Data()[o*fan : (o+1)*fan]
-		var m float64
-		for _, v := range seg {
-			m += float64(v)
-		}
-		m /= float64(fan)
-		var vr float64
-		for _, v := range seg {
-			d := float64(v) - m
-			vr += d * d
-		}
-		vr /= float64(fan)
-		std[o] = math.Sqrt(vr + eps)
-		dst := wHat.Data()[o*fan : (o+1)*fan]
-		for i, v := range seg {
-			dst[i] = float32((float64(v) - m) / std[o])
-		}
-	}
-
-	var bias *tensor.Tensor
-	var pb [3]*Value
-	parents := append(pb[:0], x, w)
-	if b != nil {
-		bias = b.Data
-		parents = append(parents, b)
-	}
-	xs := x.Data.Shape()
-	oh := tensor.ConvOut(xs[2], ws[2], stride, pad)
-	ow := tensor.ConvOut(xs[3], ws[3], stride, pad)
-	out := g.node("wsconv2d", g.alloc(xs[0], oc, oh, ow), parents...)
-	tensor.Conv2dInto(g.pool, out.Data, x.Data, wHat, bias, stride, pad)
-	if g.inference {
-		g.free(wHat)
-		return out
-	}
-	out.backward = func() {
-		gx, gwHat, gb := g.convGrads(x, w, b, wHat, out.Grad, stride, pad)
-		g.accum(x, gx)
-		g.free(gx)
-		if gwHat != nil {
-			// Chain through standardization:
-			// gW = (gŴ − mean(gŴ) − Ŵ·mean(gŴ⊙Ŵ)) / σ, per output channel.
-			gw := g.alloc(ws...)
-			for o := 0; o < oc; o++ {
-				gh := gwHat.Data()[o*fan : (o+1)*fan]
-				wh := wHat.Data()[o*fan : (o+1)*fan]
-				var mg, mgw float64
-				for i := range gh {
-					mg += float64(gh[i])
-					mgw += float64(gh[i]) * float64(wh[i])
-				}
-				mg /= float64(fan)
-				mgw /= float64(fan)
-				dst := gw.Data()[o*fan : (o+1)*fan]
-				for i := range gh {
-					dst[i] = float32((float64(gh[i]) - mg - float64(wh[i])*mgw) / std[o])
-				}
-			}
-			g.accum(w, gw)
-			g.free(gw)
-			g.free(gwHat)
-		}
-		if gb != nil {
-			g.accum(b, gb)
-			g.free(gb)
-		}
-	}
-	return out
 }
 
 // Pad2d zero-pads the spatial dims of [B,C,H,W] by p on all sides.
@@ -216,96 +167,175 @@ func (g *Graph) AvgPoolGlobal(x *Value) *Value {
 	return out
 }
 
-// LayerNorm normalizes the last dimension of x and applies a learned affine
-// transform: y = γ·(x−μ)/σ + β.
-func (g *Graph) LayerNorm(x, gamma, beta *Value) *Value {
-	xs := x.Data.Shape()
-	d := xs[len(xs)-1]
-	rows := x.Data.Len() / d
-	if gamma.Data.Len() != d || beta.Data.Len() != d {
-		panic(fmt.Sprintf("autograd: LayerNorm affine params must have length %d", d))
-	}
-	const eps = 1e-5
-	// x̂ and 1/σ are saved for backward only: an inference pass keeps
-	// neither (hd stays nil) and computes the same y.
-	var hd, invStd []float32
-	if !g.inference {
-		hd, invStd = g.alloc(xs...).Data(), g.alloc(rows).Data()
-	}
-	out := g.node("layernorm", g.alloc(xs...), x, gamma, beta)
-	xd, od := x.Data.Data(), out.Data.Data()
-	gmd, btd := gamma.Data.Data(), beta.Data.Data()
-	for r := 0; r < rows; r++ {
-		seg := xd[r*d : (r+1)*d]
-		var m float64
-		for _, v := range seg {
-			m += float64(v)
+// normEps keeps every normalization's 1/σ finite on a constant row.
+const normEps = 1e-5
+
+// meanVar returns the float64 two-pass mean and variance of the n
+// seg-long segments of x that start stride apart.
+func meanVar(x []float32, seg, n, stride int) (m, v float64) {
+	for k := 0; k < n; k++ {
+		for _, e := range x[k*stride : k*stride+seg] {
+			m += float64(e)
 		}
-		m /= float64(d)
-		var vr float64
-		for _, v := range seg {
-			dv := float64(v) - m
-			vr += dv * dv
+	}
+	cnt := float64(n * seg)
+	m /= cnt
+	for k := 0; k < n; k++ {
+		for _, e := range x[k*stride : k*stride+seg] {
+			d := float64(e) - m
+			v += d * d
 		}
-		vr /= float64(d)
-		is := float32(1 / math.Sqrt(vr+eps))
-		if hd != nil {
+	}
+	return m, v / cnt
+}
+
+// normApply writes x̂ = (x−m)·is into xhat when it is non-nil and y = γ·x̂+β
+// into y, or y = x̂ when gamma is nil. The affine channel starts at ch and
+// steps every chanSpan elements.
+func normApply(y, xhat, x []float32, m, is float32, gamma, beta []float32, ch, chanSpan int) {
+	k := 0
+	for j, v := range x {
+		h := (v - m) * is
+		if xhat != nil {
+			xhat[j] = h
+		}
+		if gamma != nil {
+			h = gamma[ch]*h + beta[ch]
+		}
+		y[j] = h
+		if k++; k == chanSpan {
+			k, ch = 0, ch+1
+		}
+	}
+}
+
+// normRows normalizes each span-long row of x by its own statistics into y
+// through normApply, the affine channel wrapping every len(gamma) channels.
+// It saves x̂ and 1/σ per row into xhat and invStd when they are non-nil.
+func normRows(y, xhat, invStd, x []float32, span, chanSpan int, gamma, beta []float32) {
+	for r, lo := 0, 0; lo < len(x); r, lo = r+1, lo+span {
+		m, v := meanVar(x[lo:], span, 1, 0)
+		is := float32(1 / math.Sqrt(v+normEps))
+		var hrow []float32
+		if xhat != nil {
+			hrow = xhat[lo : lo+span]
+		}
+		if invStd != nil {
 			invStd[r] = is
 		}
-		for i, v := range seg {
-			h := (v - float32(m)) * is
-			if hd != nil {
-				hd[r*d+i] = h
+		ch := r * span / chanSpan % max(len(gamma), 1)
+		normApply(y[lo:lo+span], hrow, x[lo:lo+span], float32(m), is, gamma, beta, ch, chanSpan)
+	}
+}
+
+// normBackward is normRows' input gradient, row by row:
+// ∇x = (g − mean(g) − x̂·mean(g⊙x̂))·(1/σ) with g = γ⊙∇y, or g = ∇y when
+// gamma is nil. It adds Σ∇y⊙x̂ and Σ∇y per channel into ggamma and gbeta
+// when they are non-nil. gx may alias gy.
+func normBackward(gx, gy, xhat, invStd []float32, span, chanSpan int, gamma []float32, ggamma, gbeta *tensor.Tensor) {
+	var gg, gb []float32
+	if ggamma != nil {
+		gg, gb = ggamma.Data(), gbeta.Data()
+	}
+	for r, lo := 0, 0; lo < len(gx); r, lo = r+1, lo+span {
+		ch, k := r*span/chanSpan%max(len(gamma), 1), 0
+		var mg, mgh float64
+		for j := lo; j < lo+span; j++ {
+			dy, h := gy[j], xhat[j]
+			gi := dy
+			if gamma != nil {
+				gi = dy * gamma[ch]
 			}
-			od[r*d+i] = gmd[i]*h + btd[i]
+			mg += float64(gi)
+			mgh += float64(gi) * float64(h)
+			if gg != nil {
+				gg[ch] += dy * h
+				gb[ch] += dy
+			}
+			gx[j] = gi
+			if k++; k == chanSpan {
+				k, ch = 0, ch+1
+			}
+		}
+		mg /= float64(span)
+		mgh /= float64(span)
+		for j := lo; j < lo+span; j++ {
+			gx[j] = invStd[r] * float32(float64(gx[j])-mg-float64(xhat[j])*mgh)
 		}
 	}
+}
+
+// affineBufs borrows zeroed ∇γ and ∇β buffers, or returns nils when neither
+// parameter needs a gradient. affineGrads hands them over and frees them.
+func (g *Graph) affineBufs(gamma, beta *Value) (ggamma, gbeta *tensor.Tensor) {
+	if !g.needs(gamma) && !g.needs(beta) {
+		return nil, nil
+	}
+	return g.allocZero(gamma.Data.Len()), g.allocZero(beta.Data.Len())
+}
+
+// affineGrads accumulates affineBufs' ∇γ and ∇β into the parameters that
+// need them and returns both buffers to the arena.
+func (g *Graph) affineGrads(gamma, beta *Value, ggamma, gbeta *tensor.Tensor) {
+	if ggamma == nil {
+		return
+	}
+	if g.needs(gamma) {
+		g.accum(gamma, ggamma)
+	}
+	if g.needs(beta) {
+		g.accum(beta, gbeta)
+	}
+	g.free(ggamma)
+	g.free(gbeta)
+}
+
+// rowNorm is the op behind LayerNorm and GroupNorm2d: normRows over rows of
+// span elements with a new affine channel every chanSpan elements, and
+// normBackward as its gradient.
+func (g *Graph) rowNorm(op string, x, gamma, beta *Value, span, chanSpan int) *Value {
+	xs := x.Data.Shape()
+	// x̂ and 1/σ are saved for backward only: an inference pass keeps
+	// neither and computes the same y.
+	var xhat, invStd []float32
+	if !g.inference {
+		xhat, invStd = g.alloc(xs...).Data(), g.alloc(x.Data.Len()/span).Data()
+	}
+	out := g.node(op, g.alloc(xs...), x, gamma, beta)
+	gmd := gamma.Data.Data()
+	normRows(out.Data.Data(), xhat, invStd, x.Data.Data(), span, chanSpan, gmd, beta.Data.Data())
 	if g.inference {
 		return out
 	}
 	out.backward = func() {
-		track := g.needs(gamma) || g.needs(beta)
 		gx := g.alloc(xs...)
-		var ggamma, gbeta *tensor.Tensor
-		if track {
-			ggamma = g.allocZero(d)
-			gbeta = g.allocZero(d)
-		}
-		gy := out.Grad.Data()
-		for r := 0; r < rows; r++ {
-			var mg, mgh float64
-			for i := 0; i < d; i++ {
-				gi := gy[r*d+i] * gmd[i]
-				h := hd[r*d+i]
-				mg += float64(gi)
-				mgh += float64(gi) * float64(h)
-				if track {
-					ggamma.Data()[i] += gy[r*d+i] * h
-					gbeta.Data()[i] += gy[r*d+i]
-				}
-			}
-			mg /= float64(d)
-			mgh /= float64(d)
-			for i := 0; i < d; i++ {
-				gi := float64(gy[r*d+i] * gmd[i])
-				h := float64(hd[r*d+i])
-				gx.Data()[r*d+i] = invStd[r] * float32(gi-mg-h*mgh)
-			}
-		}
+		ggamma, gbeta := g.affineBufs(gamma, beta)
+		normBackward(gx.Data(), out.Grad.Data(), xhat, invStd, span, chanSpan, gmd, ggamma, gbeta)
 		g.accum(x, gx)
 		g.free(gx)
-		if track {
-			if g.needs(gamma) {
-				g.accum(gamma, ggamma)
-			}
-			if g.needs(beta) {
-				g.accum(beta, gbeta)
-			}
-			g.free(ggamma)
-			g.free(gbeta)
-		}
+		g.affineGrads(gamma, beta, ggamma, gbeta)
 	}
 	return out
+}
+
+// LayerNorm normalizes the last dimension of x and applies a learned affine
+// transform: y = γ·(x−μ)/σ + β.
+func (g *Graph) LayerNorm(x, gamma, beta *Value) *Value {
+	d := x.Data.Dim(x.Data.Rank() - 1)
+	if gamma.Data.Len() != d || beta.Data.Len() != d {
+		panic(fmt.Sprintf("autograd: LayerNorm affine params must have length %d", d))
+	}
+	return g.rowNorm("layernorm", x, gamma, beta, d, 1)
+}
+
+// GroupNorm2d normalizes [B,C,H,W] over groups of channels (BiT uses
+// GroupNorm instead of BatchNorm). groups must divide C.
+func (g *Graph) GroupNorm2d(x, gamma, beta *Value, groups int) *Value {
+	c, hw := x.Data.Dim(1), x.Data.Dim(2)*x.Data.Dim(3)
+	if c%groups != 0 {
+		panic(fmt.Sprintf("autograd: GroupNorm2d groups %d must divide channels %d", groups, c))
+	}
+	return g.rowNorm("groupnorm2d", x, gamma, beta, c/groups*hw, hw)
 }
 
 // BatchNormState carries the running statistics of a BatchNorm2d layer,
@@ -333,250 +363,79 @@ func NewBatchNormState(c int, momentum float64) *BatchNormState {
 // BatchNorm2d normalizes each channel of [B,C,H,W]. In training mode it uses
 // batch statistics and updates the running stats; in eval mode it uses the
 // running stats (the deterministic inference path attacked in the paper).
+// Its statistics span the batch, so it keeps its own backward, whose float64
+// γ·(1/σ) scale the ResNet training goldens pin.
 func (g *Graph) BatchNorm2d(x, gamma, beta *Value, st *BatchNormState, training bool) *Value {
 	xs := x.Data.Shape()
-	b, c, h, w := xs[0], xs[1], xs[2], xs[3]
-	n := b * h * w
-	const eps = 1e-5
-
-	mean := make([]float64, c)
-	varr := make([]float64, c)
-	if training {
-		xd := x.Data.Data()
-		for ch := 0; ch < c; ch++ {
-			var m float64
-			for i := 0; i < b; i++ {
-				plane := xd[(i*c+ch)*h*w : (i*c+ch+1)*h*w]
-				for _, v := range plane {
-					m += float64(v)
-				}
-			}
-			m /= float64(n)
-			var vr float64
-			for i := 0; i < b; i++ {
-				plane := xd[(i*c+ch)*h*w : (i*c+ch+1)*h*w]
-				for _, v := range plane {
-					d := float64(v) - m
-					vr += d * d
-				}
-			}
-			vr /= float64(n)
-			mean[ch], varr[ch] = m, vr
+	b, c, hw := xs[0], xs[1], xs[2]*xs[3]
+	n := b * hw
+	xd := x.Data.Data()
+	mean, invStd := make([]float32, c), make([]float32, c)
+	for ch := 0; ch < c; ch++ {
+		m, vr := st.RunningMean[ch], st.RunningVar[ch]
+		if training {
+			m, vr = meanVar(xd[ch*hw:], hw, b, c*hw)
 			st.RunningMean[ch] = (1-st.Momentum)*st.RunningMean[ch] + st.Momentum*m
 			st.RunningVar[ch] = (1-st.Momentum)*st.RunningVar[ch] + st.Momentum*vr
 		}
-	} else {
-		copy(mean, st.RunningMean)
-		copy(varr, st.RunningVar)
-	}
-
-	invStd := make([]float32, c)
-	for ch := 0; ch < c; ch++ {
-		invStd[ch] = float32(1 / math.Sqrt(varr[ch]+eps))
+		mean[ch], invStd[ch] = float32(m), float32(1/math.Sqrt(vr+normEps))
 	}
 	// x̂ is saved for backward only; an inference pass keeps none.
-	var xhat *tensor.Tensor
+	var xhat []float32
 	if !g.inference {
-		xhat = g.alloc(xs...)
+		xhat = g.alloc(xs...).Data()
 	}
 	out := g.node("batchnorm2d", g.alloc(xs...), x, gamma, beta)
-	gmd, btd := gamma.Data.Data(), beta.Data.Data()
-	sample := c * h * w
-	for i := 0; i < b; i++ {
-		src := x.Data.Data()[i*sample : (i+1)*sample]
-		var hdst []float32
+	gmd, btd, od := gamma.Data.Data(), beta.Data.Data(), out.Data.Data()
+	for lo, ch := 0, 0; lo < len(xd); lo, ch = lo+hw, (ch+1)%c {
+		var hrow []float32
 		if xhat != nil {
-			hdst = xhat.Data()[i*sample : (i+1)*sample]
+			hrow = xhat[lo : lo+hw]
 		}
-		odst := out.Data.Data()[i*sample : (i+1)*sample]
-		for ch := 0; ch < c; ch++ {
-			m32, is := float32(mean[ch]), invStd[ch]
-			for j := ch * h * w; j < (ch+1)*h*w; j++ {
-				hv := (src[j] - m32) * is
-				if hdst != nil {
-					hdst[j] = hv
-				}
-				odst[j] = gmd[ch]*hv + btd[ch]
-			}
-		}
+		normApply(od[lo:lo+hw], hrow, xd[lo:lo+hw], mean[ch], invStd[ch], gmd, btd, ch, hw)
 	}
 	if g.inference {
 		return out
 	}
 	out.backward = func() {
-		track := g.needs(gamma) || g.needs(beta)
 		gx := g.alloc(xs...)
-		var ggamma, gbeta *tensor.Tensor
-		if track {
-			ggamma = g.allocZero(c)
-			gbeta = g.allocZero(c)
-		}
-		sample := c * h * w
-		gyAll, hhAll, gxAll := out.Grad.Data(), xhat.Data(), gx.Data()
+		ggamma, gbeta := g.affineBufs(gamma, beta)
+		gy, gxd := out.Grad.Data(), gx.Data()
 		for ch := 0; ch < c; ch++ {
 			gscale := float64(gmd[ch]) * float64(invStd[ch])
 			// The channel sums feed the gamma/beta gradients always, and the
 			// input gradient only in training mode; skip them when neither
 			// consumer is active.
 			var sumG, sumGH float64
-			if track || training {
-				for i := 0; i < b; i++ {
-					gy := gyAll[i*sample+ch*h*w : i*sample+(ch+1)*h*w]
-					hh := hhAll[i*sample+ch*h*w : i*sample+(ch+1)*h*w]
-					for j := range gy {
-						sumG += float64(gy[j])
-						sumGH += float64(gy[j]) * float64(hh[j])
+			if ggamma != nil || training {
+				for lo := ch * hw; lo < len(gy); lo += c * hw {
+					hh := xhat[lo : lo+hw]
+					for j, v := range gy[lo : lo+hw] {
+						sumG += float64(v)
+						sumGH += float64(v) * float64(hh[j])
 					}
 				}
 			}
-			if track {
+			if ggamma != nil {
 				ggamma.Data()[ch] = float32(sumGH)
 				gbeta.Data()[ch] = float32(sumG)
 			}
-			if training {
-				mg := sumG / float64(n)
-				mgh := sumGH / float64(n)
-				for i := 0; i < b; i++ {
-					gy := gyAll[i*sample+ch*h*w : i*sample+(ch+1)*h*w]
-					hh := hhAll[i*sample+ch*h*w : i*sample+(ch+1)*h*w]
-					dst := gxAll[i*sample+ch*h*w : i*sample+(ch+1)*h*w]
-					for j := range gy {
-						dst[j] = float32(gscale * (float64(gy[j]) - mg - float64(hh[j])*mgh))
-					}
-				}
-			} else {
-				// Eval mode: y is an affine map of x, so gx = γ/σ · gy.
-				for i := 0; i < b; i++ {
-					gy := gyAll[i*sample+ch*h*w : i*sample+(ch+1)*h*w]
-					dst := gxAll[i*sample+ch*h*w : i*sample+(ch+1)*h*w]
-					for j := range gy {
-						dst[j] = float32(gscale) * gy[j]
+			mg, mgh := sumG/float64(n), sumGH/float64(n)
+			for lo := ch * hw; lo < len(gy); lo += c * hw {
+				hh, dst := xhat[lo:lo+hw], gxd[lo:lo+hw]
+				for j, v := range gy[lo : lo+hw] {
+					if training {
+						dst[j] = float32(gscale * (float64(v) - mg - float64(hh[j])*mgh))
+					} else {
+						// Eval mode: y is an affine map of x, so ∇x = γ/σ · ∇y.
+						dst[j] = float32(gscale) * v
 					}
 				}
 			}
 		}
 		g.accum(x, gx)
 		g.free(gx)
-		if track {
-			if g.needs(gamma) {
-				g.accum(gamma, ggamma)
-			}
-			if g.needs(beta) {
-				g.accum(beta, gbeta)
-			}
-			g.free(ggamma)
-			g.free(gbeta)
-		}
-	}
-	return out
-}
-
-// GroupNorm2d normalizes [B,C,H,W] over groups of channels (BiT uses
-// GroupNorm instead of BatchNorm). groups must divide C.
-func (g *Graph) GroupNorm2d(x, gamma, beta *Value, groups int) *Value {
-	xs := x.Data.Shape()
-	b, c, h, w := xs[0], xs[1], xs[2], xs[3]
-	if c%groups != 0 {
-		panic(fmt.Sprintf("autograd: GroupNorm2d groups %d must divide channels %d", groups, c))
-	}
-	cg := c / groups
-	gn := cg * h * w
-	const eps = 1e-5
-
-	// x̂ and 1/σ are saved for backward only; an inference pass keeps
-	// neither.
-	var xhat *tensor.Tensor
-	var invStd []float32
-	if !g.inference {
-		xhat, invStd = g.alloc(xs...), g.alloc(b*groups).Data()
-	}
-	out := g.node("groupnorm2d", g.alloc(xs...), x, gamma, beta)
-	gmd, btd := gamma.Data.Data(), beta.Data.Data()
-	sample := c * h * w
-	for i := 0; i < b; i++ {
-		src := x.Data.Data()[i*sample : (i+1)*sample]
-		var hdst []float32
-		if xhat != nil {
-			hdst = xhat.Data()[i*sample : (i+1)*sample]
-		}
-		odst := out.Data.Data()[i*sample : (i+1)*sample]
-		for gr := 0; gr < groups; gr++ {
-			lo, hi := gr*cg*h*w, (gr+1)*cg*h*w
-			var m float64
-			for _, v := range src[lo:hi] {
-				m += float64(v)
-			}
-			m /= float64(gn)
-			var vr float64
-			for _, v := range src[lo:hi] {
-				d := float64(v) - m
-				vr += d * d
-			}
-			vr /= float64(gn)
-			is := float32(1 / math.Sqrt(vr+eps))
-			if hdst != nil {
-				invStd[i*groups+gr] = is
-			}
-			for j := lo; j < hi; j++ {
-				ch := j / (h * w)
-				hv := (src[j] - float32(m)) * is
-				if hdst != nil {
-					hdst[j] = hv
-				}
-				odst[j] = gmd[ch]*hv + btd[ch]
-			}
-		}
-	}
-	if g.inference {
-		return out
-	}
-	out.backward = func() {
-		track := g.needs(gamma) || g.needs(beta)
-		gx := g.alloc(xs...)
-		var ggamma, gbeta *tensor.Tensor
-		if track {
-			ggamma = g.allocZero(c)
-			gbeta = g.allocZero(c)
-		}
-		for i := 0; i < b; i++ {
-			gy := out.Grad.Data()[i*sample : (i+1)*sample]
-			hh := xhat.Data()[i*sample : (i+1)*sample]
-			dst := gx.Data()[i*sample : (i+1)*sample]
-			for gr := 0; gr < groups; gr++ {
-				lo, hi := gr*cg*h*w, (gr+1)*cg*h*w
-				var mg, mgh float64
-				for j := lo; j < hi; j++ {
-					ch := j / (h * w)
-					gi := gy[j] * gmd[ch]
-					mg += float64(gi)
-					mgh += float64(gi) * float64(hh[j])
-					if track {
-						ggamma.Data()[ch] += gy[j] * hh[j]
-						gbeta.Data()[ch] += gy[j]
-					}
-				}
-				mg /= float64(gn)
-				mgh /= float64(gn)
-				is := invStd[i*groups+gr]
-				for j := lo; j < hi; j++ {
-					ch := j / (h * w)
-					gi := float64(gy[j] * gmd[ch])
-					dst[j] = is * float32(gi-mg-float64(hh[j])*mgh)
-				}
-			}
-		}
-		g.accum(x, gx)
-		g.free(gx)
-		if track {
-			if g.needs(gamma) {
-				g.accum(gamma, ggamma)
-			}
-			if g.needs(beta) {
-				g.accum(beta, gbeta)
-			}
-			g.free(ggamma)
-			g.free(gbeta)
-		}
+		g.affineGrads(gamma, beta, ggamma, gbeta)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -72,6 +73,17 @@ func TestApplyRejectsMismatch(t *testing.T) {
 	w3.Data = w3.Data[:2]
 	if err := Apply(m, w3); err == nil {
 		t.Fatal("count mismatch must fail")
+	}
+	// A snapshot with fewer names than tensors used to index past Names.
+	w4 := Snapshot(m)
+	w4.Names = w4.Names[:1]
+	if err := Apply(m, w4); err == nil {
+		t.Fatal("short Names must fail")
+	}
+	w5 := Snapshot(m)
+	w5.Data[1][0] = float32(math.NaN())
+	if err := Apply(m, w5); err == nil {
+		t.Fatal("a NaN weight must fail")
 	}
 }
 

@@ -31,11 +31,15 @@ func Snapshot(m models.Model) Weights {
 }
 
 // Apply overwrites m's parameters with w. Names and shapes must match the
-// model's parameter list exactly.
+// model's parameter list exactly, and every value must be finite.
 func Apply(m models.Model, w Weights) error {
 	params := m.Params()
-	if len(params) != len(w.Data) {
-		return fmt.Errorf("fl: weight count %d does not match model's %d params", len(w.Data), len(params))
+	if len(params) != len(w.Data) || len(w.Names) != len(w.Data) || len(w.Shapes) != len(w.Data) {
+		return fmt.Errorf("fl: weight snapshot has %d names, %d shapes and %d tensors, model has %d params",
+			len(w.Names), len(w.Shapes), len(w.Data), len(params))
+	}
+	if nonFinite(w) {
+		return fmt.Errorf("fl: weight snapshot: %w", errNonFinite)
 	}
 	for i, p := range params {
 		if p.Name != w.Names[i] {

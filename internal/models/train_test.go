@@ -27,7 +27,10 @@ func paramsHash(m Model) uint64 {
 // The hashes below were taken at the commit where Train still owned its own
 // epoch loop and optimizer; Train over the shared Trainer must reproduce them
 // bit for bit. 100 samples over batch 16 leaves a tail batch of 4, and the
-// ResNet's BatchNorm makes the result depend on SetTraining.
+// ResNet's BatchNorm makes the result depend on SetTraining. The BiT row
+// moved on purpose: WSConv2d standardized its kernel with a float64
+// division, (w−m)/σ, and gave 484723598576120941; it now runs the shared
+// float32 (w−m)·(1/σ) normalization, a last-ulp difference per weight.
 func TestTrainGoldenBits(t *testing.T) {
 	d := smallDataset(t, 4, 8, 100)
 	for _, tc := range []struct {
@@ -37,6 +40,7 @@ func TestTrainGoldenBits(t *testing.T) {
 	}{
 		{NewViT(SmallViT("vit-golden", 4, 8, 4), tensor.NewRNG(3)), 3, 13019979802481687236},
 		{NewResNet(SmallResNet("rn-golden", 4, 8), tensor.NewRNG(4)), 2, 8560635914927600733},
+		{NewBiT(SmallBiT("bit-golden", 4, 8), tensor.NewRNG(8)), 2, 6296873776146735565},
 	} {
 		losses, err := Train(tc.m, d.X, d.Y, TrainConfig{Epochs: tc.epochs, BatchSize: 16, LR: 2e-3, Seed: 5})
 		if err != nil {
