@@ -100,7 +100,7 @@ func BenchmarkTable3IndividualModels(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, shield, _, err := eval.Oracles(blk.ViT, 7)
+	shield, err := eval.ShieldedOracleFor(blk.ViT, 7)
 	if err != nil {
 		b.Fatal(err)
 	}

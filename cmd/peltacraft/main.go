@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -42,20 +44,11 @@ func run() error {
 	train, val := dataset.Generate(cfg)
 	m := models.NewViT(models.SmallViT("ViT-craft", cfg.Classes, *hw, *hw/4), tensor.NewRNG(*seed))
 
-	if *ckpt != "" {
-		if err := fl.LoadModel(*ckpt, m); err == nil {
-			fmt.Fprintf(os.Stderr, "loaded checkpoint %s\n", *ckpt)
-		} else {
-			fmt.Fprintf(os.Stderr, "training fresh model (%v)\n", err)
-			if _, err := models.Train(m, train.X, train.Y, models.TrainConfig{Epochs: 6, BatchSize: 32, LR: 2e-3, Seed: *seed}); err != nil {
-				return err
-			}
-			if err := fl.SaveModel(*ckpt, m); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "saved checkpoint %s\n", *ckpt)
-		}
-	} else if _, err := models.Train(m, train.X, train.Y, models.TrainConfig{Epochs: 6, BatchSize: 32, LR: 2e-3, Seed: *seed}); err != nil {
+	fit := func() error {
+		_, err := models.Train(m, train.X, train.Y, models.TrainConfig{Epochs: 6, BatchSize: 32, LR: 2e-3, Seed: *seed})
+		return err
+	}
+	if err := loadOrTrain(*ckpt, m, fit); err != nil {
 		return err
 	}
 	fmt.Printf("clean accuracy: %.1f%%\n", 100*models.Accuracy(m, val.X, val.Y))
@@ -91,27 +84,53 @@ func run() error {
 		atk.Name(), oracle.Name(), 100*robust, 100*(1-robust))
 
 	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
+		n, err := dumpSamples(*out, x, xadv)
+		if err != nil {
 			return err
 		}
-		limit := *n
-		if limit > 8 {
-			limit = 8
-		}
-		for i := 0; i < limit; i++ {
-			if err := imageio.WritePPM(filepath.Join(*out, fmt.Sprintf("clean_%d.ppm", i)), x.Slice(i)); err != nil {
-				return err
-			}
-			if err := imageio.WritePPM(filepath.Join(*out, fmt.Sprintf("adv_%d.ppm", i)), xadv.Slice(i)); err != nil {
-				return err
-			}
-			if err := imageio.WritePGM(filepath.Join(*out, fmt.Sprintf("delta_%d.pgm", i)), tensor.Sub(xadv.Slice(i), x.Slice(i))); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("wrote %d sample triplets to %s\n", limit, *out)
+		fmt.Printf("wrote %d sample triplets to %s\n", n, *out)
 	}
 	return nil
+}
+
+// loadOrTrain restores m from the checkpoint at path (with no path it just
+// trains). Only when no file exists there does it train m with fit and
+// save the result; any other load error — a corrupt file, a checkpoint of
+// another architecture — is returned and the file is left as it was.
+func loadOrTrain(path string, m models.Model, fit func() error) error {
+	if path == "" {
+		return fit()
+	}
+	err := fl.LoadModel(path, m)
+	if !errors.Is(err, fs.ErrNotExist) {
+		return err // nil: loaded
+	}
+	fmt.Fprintf(os.Stderr, "no checkpoint at %s: training and saving one\n", path)
+	if err := fit(); err != nil {
+		return err
+	}
+	return fl.SaveModel(path, m)
+}
+
+// dumpSamples writes up to 8 rows of x and xadv to dir as clean/adv PPMs
+// plus a delta PGM and returns the count. x holds only the samples
+// SelectCorrect found, which may be fewer than -n asked for.
+func dumpSamples(dir string, x, xadv *tensor.Tensor) (int, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, err
+	}
+	n := min(x.Dim(0), 8)
+	for i := 0; i < n; i++ {
+		xi, ai := x.Slice(i), xadv.Slice(i)
+		if err := errors.Join(
+			imageio.WritePPM(filepath.Join(dir, fmt.Sprintf("clean_%d.ppm", i)), xi),
+			imageio.WritePPM(filepath.Join(dir, fmt.Sprintf("adv_%d.ppm", i)), ai),
+			imageio.WritePGM(filepath.Join(dir, fmt.Sprintf("delta_%d.pgm", i)), tensor.Sub(ai, xi)),
+		); err != nil {
+			return 0, err
+		}
+	}
+	return n, nil
 }
 
 func buildAttack(name string, eps float32, steps int, seed int64) (attack.Attack, error) {

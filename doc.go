@@ -37,6 +37,5 @@
 // seeded bench/ module (its own go.mod, declared by BENCHMARK.json), not
 // here. cmd/peltabench is the command-line entry point, cmd/flsim runs
 // federations and scenario sweeps, cmd/peltaserve serves shielded inference
-// over HTTP (with a built-in load generator), and examples/ holds runnable
-// scenarios.
+// over HTTP, and examples/ holds runnable scenarios.
 package pelta

@@ -23,5 +23,5 @@
 //
 // RecordingOracle wraps any oracle and clones every queried sample, turning
 // an attack run into the query stream a serving defender would have seen —
-// the trace source of the internal/serve probe-detection harness.
+// the trace source of the probe-detection replay in internal/eval.
 package attack

@@ -10,7 +10,7 @@ import (
 // in query order. It models the service-side view of an attack: each oracle
 // query — forward or gradient — is one probe the defender's detector gets
 // to see, so a recorded attack run replays as a detection trace
-// (serve.QueryStream) without re-implementing the attack loop.
+// (eval.DetectStream) without re-implementing the attack loop.
 //
 // Batched queries are recorded row by row, matching the one-sample-per-
 // request serving surface. Rows are cloned, so the recording survives the

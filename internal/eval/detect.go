@@ -1,14 +1,18 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"time"
 
 	"pelta/internal/attack"
 	"pelta/internal/dataset"
 	"pelta/internal/models"
 	"pelta/internal/serve"
+	"pelta/internal/tensor"
 )
 
 // DetectTraceConfig shapes a labeled detection trace: per-family probe
@@ -58,6 +62,18 @@ func (c DetectTraceConfig) detectAttack(fi int, family string) (attack.Attack, e
 	return nil, fmt.Errorf("eval: unknown detect family %q (want fgsm, pgd, apgd, saga or square)", family)
 }
 
+// DetectStream is one client's labeled query sequence, the ground truth a
+// detection replay is scored against: a Probe stream is one attacker (the
+// ordered iterates of one attack run), a benign one an honest caller.
+// Client must be unique per stream; Family names the table row (the
+// attack, or "benign"); Queries are in submission order, which the
+// detector's m-of-w window slides over.
+type DetectStream struct {
+	Client, Family string
+	Probe          bool
+	Queries        []*tensor.Tensor
+}
+
 // BuildDetectStreams assembles the labeled query streams of one detection
 // run. Each attack family runs once against a recording oracle over the
 // attacker's local model copy — every oracle query, forward or gradient,
@@ -65,22 +81,16 @@ func (c DetectTraceConfig) detectAttack(fi int, family string) (attack.Attack, e
 // stream. Benign streams take dataset samples round-robin, one client per
 // stream. The result is fully determined by (m, d, cfg): replaying it
 // against a detector twice must yield identical verdicts.
-func BuildDetectStreams(m models.Model, d *dataset.Dataset, cfg DetectTraceConfig) ([]serve.QueryStream, error) {
+func BuildDetectStreams(m models.Model, d *dataset.Dataset, cfg DetectTraceConfig) ([]DetectStream, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("eval: detect trace needs a non-empty dataset")
 	}
-	var streams []serve.QueryStream
+	var streams []DetectStream
 	for bi := 0; bi < cfg.BenignClients; bi++ {
-		st := serve.QueryStream{
-			Client: fmt.Sprintf("benign-%02d", bi),
-			Family: "benign",
-		}
+		st := DetectStream{Client: fmt.Sprintf("benign-%02d", bi), Family: "benign"}
 		for qi := 0; qi < cfg.BenignQueries; qi++ {
 			idx := (bi*cfg.BenignQueries + qi) % d.Len()
-			st.Items = append(st.Items, serve.TrafficItem{
-				X:     d.X.Slice(idx).Clone(),
-				Label: d.Y[idx],
-			})
+			st.Queries = append(st.Queries, d.X.Slice(idx).Clone())
 		}
 		streams = append(streams, st)
 	}
@@ -100,17 +110,66 @@ func BuildDetectStreams(m models.Model, d *dataset.Dataset, cfg DetectTraceConfi
 		if cfg.ProbeQueries > 0 && len(queries) > cfg.ProbeQueries {
 			queries = queries[:cfg.ProbeQueries]
 		}
-		st := serve.QueryStream{
-			Client: fmt.Sprintf("probe-%s", strings.ToLower(family)),
-			Family: strings.ToLower(family),
-			Probe:  true,
-		}
-		for _, q := range queries {
-			st.Items = append(st.Items, serve.TrafficItem{X: q, Label: d.Y[idx], Adversarial: true})
-		}
-		streams = append(streams, st)
+		streams = append(streams, DetectStream{
+			Client:  fmt.Sprintf("probe-%s", strings.ToLower(family)),
+			Family:  strings.ToLower(family),
+			Probe:   true,
+			Queries: queries,
+		})
 	}
 	return streams, nil
+}
+
+// ReplayDetect submits each stream to s with SubmitFrom as its client,
+// probe queries on route "adv" and benign ones on "benign", and scores the
+// verdicts. Streams run concurrently but each strictly in order: the
+// detector's m-of-w window, and the run's determinism, rest on that. A
+// query served with Result.Flagged or shed with ErrFlagged counts as
+// flagged; any other ErrOverloaded is a plain shed (so under
+// DetectDeprioritize an admission-shed flagged query reads unflagged), and
+// a query that failed otherwise is neither served nor shed.
+func ReplayDetect(s *serve.Service, streams []DetectStream) (*DetectSummary, error) {
+	if len(streams) == 0 {
+		return nil, fmt.Errorf("eval: detect replay needs streams")
+	}
+	seen := make(map[string]bool, len(streams))
+	for _, st := range streams {
+		if st.Client == "" || seen[st.Client] {
+			return nil, fmt.Errorf("eval: detect replay client %q is empty or shared by two streams", st.Client)
+		}
+		seen[st.Client] = true
+	}
+
+	lines := make([]DetectFamilyLine, len(streams))
+	var wg sync.WaitGroup
+	for si, st := range streams {
+		wg.Add(1)
+		go func(l *DetectFamilyLine, st DetectStream) {
+			defer wg.Done()
+			*l = DetectFamilyLine{Family: st.Family, Probe: st.Probe, Streams: 1, Queries: len(st.Queries)}
+			route := "benign"
+			if st.Probe {
+				route = "adv"
+			}
+			for _, q := range st.Queries {
+				res, err := s.SubmitFrom(route, st.Client, q, time.Time{})
+				switch {
+				case err == nil:
+					l.Served++
+					if res.Flagged {
+						l.Flagged++
+					}
+				case errors.Is(err, serve.ErrFlagged):
+					l.Shed++
+					l.Flagged++
+				case errors.Is(err, serve.ErrOverloaded):
+					l.Shed++
+				}
+			}
+		}(&lines[si], st)
+	}
+	wg.Wait()
+	return summarize(lines), nil
 }
 
 // DetectFamilyLine is one row of the detection-quality table.
@@ -134,45 +193,63 @@ func (l DetectFamilyLine) Rate() (float64, bool) {
 	return float64(l.Flagged) / float64(l.Queries), true
 }
 
-// DetectSummary condenses a detection run into the quality question the
-// issue asks: what fraction of each attack family's probe queries got
-// flagged, at what benign false-positive cost.
+// DetectSummary condenses a detection run into its quality question: what
+// fraction of each attack family's probe queries got flagged, at what
+// benign false-positive cost.
 type DetectSummary struct {
-	Report *serve.DetectReport
 	// Families holds one line per traffic family, benign first, then the
 	// attack families in name order.
 	Families []DetectFamilyLine
 }
 
-// SummarizeDetect groups a detection report's streams by family.
-func SummarizeDetect(rep *serve.DetectReport) *DetectSummary {
-	byFam := make(map[string]*DetectFamilyLine)
-	var order []string
-	for _, st := range rep.Streams {
-		l := byFam[st.Family]
-		if l == nil {
-			l = &DetectFamilyLine{Family: st.Family, Probe: st.Probe}
-			byFam[st.Family] = l
-			order = append(order, st.Family)
+// summarize merges per-stream lines, which it reorders, into one line per
+// family: benign first, then the attack families in name order.
+func summarize(lines []DetectFamilyLine) *DetectSummary {
+	sort.Slice(lines, func(a, b int) bool {
+		if lines[a].Probe != lines[b].Probe {
+			return !lines[a].Probe
 		}
-		l.Streams++
-		l.Queries += st.Sent
-		l.Served += st.Served
-		l.Shed += st.Shed
-		l.Flagged += st.Flagged
-	}
-	sort.Slice(order, func(a, b int) bool {
-		la, lb := byFam[order[a]], byFam[order[b]]
-		if la.Probe != lb.Probe {
-			return !la.Probe // benign families first
-		}
-		return la.Family < lb.Family
+		return lines[a].Family < lines[b].Family
 	})
-	s := &DetectSummary{Report: rep}
-	for _, fam := range order {
-		s.Families = append(s.Families, *byFam[fam])
+	s := &DetectSummary{}
+	for _, l := range lines {
+		n := len(s.Families)
+		if n == 0 || s.Families[n-1].Family != l.Family {
+			s.Families = append(s.Families, l)
+			continue
+		}
+		f := &s.Families[n-1]
+		f.Streams += l.Streams
+		f.Queries += l.Queries
+		f.Served += l.Served
+		f.Shed += l.Shed
+		f.Flagged += l.Flagged
 	}
 	return s
+}
+
+// DetectionRate returns the fraction of probe queries flagged. ok is false
+// when the run had no probe queries, so an empty trace is distinguishable
+// from a detector that caught nothing.
+func (s *DetectSummary) DetectionRate() (rate float64, ok bool) {
+	return s.rate(true)
+}
+
+// BenignFPR returns the fraction of benign queries flagged — the run's
+// false-positive rate. ok is false with no benign queries.
+func (s *DetectSummary) BenignFPR() (fpr float64, ok bool) {
+	return s.rate(false)
+}
+
+func (s *DetectSummary) rate(probe bool) (float64, bool) {
+	var l DetectFamilyLine
+	for _, f := range s.Families {
+		if f.Probe == probe {
+			l.Queries += f.Queries
+			l.Flagged += f.Flagged
+		}
+	}
+	return l.Rate()
 }
 
 // rateCell renders a (value, ok) rate like the accuracy cells: "n/a" when
@@ -196,8 +273,8 @@ func (s *DetectSummary) Render() string {
 		fmt.Fprintf(&sb, "%-8s | %7d | %7d | %6d | %4d | %7d | %6s\n",
 			l.Family, l.Streams, l.Queries, l.Served, l.Shed, l.Flagged, rateCell(r, ok))
 	}
-	det, detOK := s.Report.DetectionRate()
-	fpr, fprOK := s.Report.BenignFPR()
+	det, detOK := s.DetectionRate()
+	fpr, fprOK := s.BenignFPR()
 	fmt.Fprintf(&sb, "detection rate (probe queries): %s\n", rateCell(det, detOK))
 	fmt.Fprintf(&sb, "benign FPR:                     %s\n", rateCell(fpr, fprOK))
 	return sb.String()

@@ -11,14 +11,13 @@
 // by the sweep summaries and (as the validation reference for the P²
 // streaming sketches) the internal/serve metrics.
 //
-// The detection-quality harness runs only under go test; it scores the
-// serving layer's stateful probe detector (TestDetectGoldenTrace gates it at ≥ 90%
-// detection, ≤ 5% benign FPR): BuildDetectStreams records real attack runs
-// (fgsm, pgd, apgd, saga, square) through attack.RecordingOracle — every
-// oracle query is one probe the service would have seen — and interleaves
-// them with benign client streams; SummarizeDetect condenses the replayed
-// serve.DetectReport into the per-family detection-rate vs benign-FPR
-// table (empty families render "n/a", never a fake 0%).
+// The detection-quality harness scores the serving layer's stateful probe
+// detector (TestDetectGoldenTrace gates it at ≥ 90% detection, ≤ 5% benign
+// FPR): BuildDetectStreams records real attack runs (fgsm, pgd, apgd, saga,
+// square) through attack.RecordingOracle, plus benign client streams, and
+// ReplayDetect submits them to a detecting serve.Service and returns the
+// per-family detection-rate vs benign-FPR table (empty families render
+// "n/a", never a fake 0%).
 //
 // The trace summaries consume the observability layer's span records:
 // SummarizeTrace condenses obs.SpanRecords into a per-route × per-stage

@@ -105,16 +105,16 @@ func ClearOracleFor(m models.Model) attack.Oracle {
 	return attack.NewParallelClearOracle(m, 0)
 }
 
-// Oracles returns the clear and shielded gradient oracles for m. The clear
-// oracle fans batch queries across one pooled worker per core.
-func Oracles(m models.Model, seed int64) (clear attack.Oracle, shielded attack.Oracle, sm *core.ShieldedModel, err error) {
-	sm, err = core.NewShieldedModel(m, 0)
+// ShieldedOracleFor shields m in a fresh enclave and returns the attacker's
+// gradient oracle through it; seed draws its random upsampling kernel.
+func ShieldedOracleFor(m models.Model, seed int64) (attack.Oracle, error) {
+	sm, err := core.NewShieldedModel(m, 0)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("eval: shielding %s: %w", m.Name(), err)
+		return nil, fmt.Errorf("eval: shielding %s: %w", m.Name(), err)
 	}
 	so, err := attack.NewShieldedOracle(sm, seed)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("eval: building shielded oracle for %s: %w", m.Name(), err)
+		return nil, fmt.Errorf("eval: building shielded oracle for %s: %w", m.Name(), err)
 	}
-	return ClearOracleFor(m), so, sm, nil
+	return so, nil
 }

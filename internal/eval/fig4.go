@@ -45,14 +45,14 @@ func RunFig4(vit *models.ViT, bit *models.BiT, val *dataset.Dataset, set AttackS
 		vitO := ClearOracleFor(vit)
 		bitO := ClearOracleFor(bit)
 		if setting == ShieldViTOnly || setting == ShieldBoth {
-			_, so, _, err := Oracles(vit, set.Seed+int64(setting))
+			so, err := ShieldedOracleFor(vit, set.Seed+int64(setting))
 			if err != nil {
 				return nil, err
 			}
 			vitO = so
 		}
 		if setting == ShieldBiTOnly || setting == ShieldBoth {
-			_, so, _, err := Oracles(bit, set.Seed+20+int64(setting))
+			so, err := ShieldedOracleFor(bit, set.Seed+20+int64(setting))
 			if err != nil {
 				return nil, err
 			}

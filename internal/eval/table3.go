@@ -41,7 +41,7 @@ func RunTable3Row(m models.Model, val *dataset.Dataset, n int, set AttackSet) (T
 	// One shielded oracle per kernel draw.
 	shieldOs := make([]attack.Oracle, KernelDraws)
 	for k := range shieldOs {
-		_, so, _, err := Oracles(m, set.Seed+int64(1000*k))
+		so, err := ShieldedOracleFor(m, set.Seed+int64(1000*k))
 		if err != nil {
 			return Table3Row{}, err
 		}

@@ -93,14 +93,14 @@ func RunTable4(vit *models.ViT, bit *models.BiT, val *dataset.Dataset, n int, se
 			vitO := ClearOracleFor(vit)
 			bitO := ClearOracleFor(bit)
 			if setting == ShieldViTOnly || setting == ShieldBoth {
-				_, so, _, err := Oracles(vit, set.Seed+int64(setting)+int64(1000*k))
+				so, err := ShieldedOracleFor(vit, set.Seed+int64(setting)+int64(1000*k))
 				if err != nil {
 					return nil, err
 				}
 				vitO = so
 			}
 			if setting == ShieldBiTOnly || setting == ShieldBoth {
-				_, so, _, err := Oracles(bit, set.Seed+10+int64(setting)+int64(1000*k))
+				so, err := ShieldedOracleFor(bit, set.Seed+10+int64(setting)+int64(1000*k))
 				if err != nil {
 					return nil, err
 				}

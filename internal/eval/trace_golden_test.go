@@ -106,10 +106,10 @@ func waitCond(t *testing.T, cond func() bool) {
 	}
 }
 
-// runGoldenTrace drives a seeded 3-phase load through a traced service on
-// the fake clock with a fully scripted timeline: 6 requests (2 per phase)
-// enqueue while the clock is frozen, then each inference is released after
-// a 1ms advance. Every timestamp derives from the injected clock, so the
+// runGoldenTrace drives six requests through a traced service on the fake
+// clock with a fully scripted timeline: 2 submit while the clock is frozen,
+// 4 more after a 1µs advance, then each inference is released after a 1ms
+// advance. Every timestamp derives from the injected clock, so the
 // resulting span set — and its summary — is a pure function of the script.
 func runGoldenTrace(t *testing.T) ([]obs.SpanRecord, *eval.TraceSummary) {
 	t.Helper()
@@ -127,14 +127,17 @@ func runGoldenTrace(t *testing.T) ([]obs.SpanRecord, *eval.TraceSummary) {
 
 	x := tensor.New(1, 2, 2)
 	x.Fill(0.5)
-	items := []serve.TrafficItem{{X: x, Label: 2}}
-	// Rate 2e9 truncates the pacing interval to 0: each phase's 2 shots
-	// are due at the phase boundary, and the 1ns phases put all six shots
-	// within 2ns of the frozen start.
-	phases := []serve.LoadPhase{
-		{Rate: 2e9, Duration: time.Nanosecond},
-		{Rate: 2e9, Duration: time.Nanosecond},
-		{Rate: 2e9, Duration: time.Nanosecond},
+	var wg sync.WaitGroup
+	submit := func(n int) {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.Submit("benign", x, time.Time{}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
 	}
 	// gauge sums one metric family of the service registry over its labels.
 	gauge := func(name string) (v float64) {
@@ -145,27 +148,23 @@ func runGoldenTrace(t *testing.T) ([]obs.SpanRecord, *eval.TraceSummary) {
 		}
 		return v
 	}
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := serve.RunLoadPhases(s, items, phases, serve.LoadConfig{Seed: 7})
-		done <- err
-	}()
-
 	// The offered counter is bumped on entry to Submit, before the enqueue
-	// stamp, so on its own it does not say a shot has left admission. The
-	// queue-depth gauge is read under the service lock, which admission
+	// stamp, so on its own it does not say a request has left admission.
+	// The queue-depth gauge is read under the service lock, which admission
 	// holds from that bump to the queue send: offered == n followed by a
-	// depth read means all n shots carry their enqueue stamp.
+	// depth read means all n requests carry their enqueue stamp.
 	settled := func(offered, depth float64) bool {
 		return gauge("pelta_requests_offered_total") == offered && gauge("pelta_queue_depth") == depth
 	}
-	// Phase 1's shots submit on the frozen clock; the worker blocks on the
-	// gate with the first of them and the batcher holds the second.
+
+	// The first 2 submit on the frozen clock; the worker blocks on the gate
+	// with the first of them and the batcher holds the second.
+	submit(2)
 	waitCond(t, func() bool { return rep.serving.Load() == 1 && settled(2, 0) })
-	// Fire the phase-2/3 pacing timers; all remaining shots enqueue at
-	// exactly start+1µs while the worker is still gated.
+	// The remaining 4 enqueue at exactly start+1µs while the worker is
+	// still gated.
 	gc.Advance(time.Microsecond)
+	submit(4)
 	waitCond(t, func() bool { return settled(6, 4) })
 	// Release the six inferences, advancing 1ms inside each infer stage.
 	for i := 0; i < 6; i++ {
@@ -175,17 +174,27 @@ func runGoldenTrace(t *testing.T) ([]obs.SpanRecord, *eval.TraceSummary) {
 			waitCond(t, func() bool { return rep.serving.Load() == int32(i+2) })
 		}
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 	recs := s.Tracer().Records()
 	return recs, eval.SummarizeTrace(recs)
 }
 
-// TestGoldenTraceDeterministic is the golden trace pin: the same seeded
-// 3-phase load renders a byte-identical SummarizeTrace table across two
-// runs AND across 1 vs 8 kernel workers, because every span timestamp
-// reads the injected clock rather than the wall.
+// goldenTraceTable is the scripted timeline's trace table, pinned byte for
+// byte.
+const goldenTraceTable = `trace: 6 spans, 6 served, 1 routes
+route benign: 6 spans, 6 served, e2e p50 3.5  p95 5.75  p99 5.95 ms (mean 3.500)
+  stage     |    p50 ms |    p95 ms |   mean ms |  % e2e
+  detect    |     0.000 |     0.000 |     0.000 |   0.0%
+  admission |     0.000 |     0.000 |     0.000 |   0.0%
+  queue     |     2.500 |     4.750 |     2.500 |  71.4%
+  batch     |     0.000 |     0.000 |     0.000 |   0.0%
+  infer     |     1.000 |     1.001 |     1.000 |  28.6%
+`
+
+// TestGoldenTraceDeterministic is the golden trace pin: the scripted
+// timeline renders the golden SummarizeTrace table at 1 and at 8 kernel
+// workers, because every span timestamp reads the injected clock rather
+// than the wall.
 func TestGoldenTraceDeterministic(t *testing.T) {
 	prev := tensor.SetKernelWorkers(1)
 	defer tensor.SetKernelWorkers(prev)
@@ -201,11 +210,8 @@ func TestGoldenTraceDeterministic(t *testing.T) {
 	}
 
 	r1, r2 := sum1.Render(), sum2.Render()
-	if r1 != r2 {
-		t.Fatalf("trace table not reproducible across runs/kernel workers:\n--- 1 worker\n%s\n--- 8 workers\n%s", r1, r2)
-	}
-	if len(recs1) != 6 || sum1.Served != 6 {
-		t.Fatalf("span set: %d spans, %d served, want 6/6:\n%s", len(recs1), sum1.Served, r1)
+	if r1 != goldenTraceTable || r2 != goldenTraceTable {
+		t.Fatalf("trace table drifted:\n--- 1 worker\n%s--- 8 workers\n%s--- want\n%s", r1, r2, goldenTraceTable)
 	}
 	for i := range recs1 {
 		if recs1[i].ID != recs2[i].ID || recs1[i].Outcome != recs2[i].Outcome {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -216,80 +215,5 @@ func TestDetectDisabledBypass(t *testing.T) {
 	}
 	if st := s2.Detector().Stats(s2.Clock().Now()); st.Observed != 0 {
 		t.Fatalf("client-less submits reached the detector: %+v", st)
-	}
-}
-
-// TestRunDetectLoadValidation pins the stream preconditions.
-func TestRunDetectLoadValidation(t *testing.T) {
-	s := NewService(stubPool(t, newStubReplica()), Config{MaxBatch: 1})
-	defer s.Close()
-	if _, err := RunDetectLoad(s, nil, DetectLoadConfig{}); err == nil {
-		t.Fatal("empty stream set must error")
-	}
-	mk := func(c string) QueryStream {
-		return QueryStream{Client: c, Family: "benign", Items: []TrafficItem{{X: freshSample(0)}}}
-	}
-	if _, err := RunDetectLoad(s, []QueryStream{mk("")}, DetectLoadConfig{}); err == nil {
-		t.Fatal("empty client identity must error")
-	}
-	if _, err := RunDetectLoad(s, []QueryStream{mk("a"), mk("a")}, DetectLoadConfig{}); err == nil {
-		t.Fatal("duplicate client identity must error")
-	}
-}
-
-// TestRunDetectLoadReport pins the loadgen's per-stream accounting: probe
-// streams of near-duplicates end up flagged, benign streams do not, and
-// the Flags slice is index-aligned with the items.
-func TestRunDetectLoadReport(t *testing.T) {
-	s := NewService(stubPool(t, newStubReplica()), Config{MaxBatch: 2, Detect: detectTestConfig(DetectLog)})
-	defer s.Close()
-
-	streams := make([]QueryStream, 0, 4)
-	for c := 0; c < 4; c++ {
-		st := QueryStream{Client: fmt.Sprintf("c%d", c), Family: "benign"}
-		probe := c%2 == 0
-		if probe {
-			st.Family, st.Probe = "pgd", true
-		}
-		for i := 0; i < 10; i++ {
-			x := freshSample(c*100 + i)
-			if probe {
-				x = dupSample(c*100 + i)
-			}
-			st.Items = append(st.Items, TrafficItem{X: x, Adversarial: probe})
-		}
-		streams = append(streams, st)
-	}
-	// Distinct duplicate families per probe client, or the two probe
-	// clients would flag each other… they must not: caches are per client.
-	for i := range streams[2].Items {
-		streams[2].Items[i].X.Data()[0] += 0.4
-	}
-
-	rep, err := RunDetectLoad(s, streams, DetectLoadConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, ok := rep.DetectionRate()
-	if !ok || det < 0.5 {
-		t.Fatalf("detection rate %.2f (ok=%v), want >= 0.5 on pure duplicate streams", det, ok)
-	}
-	fpr, ok := rep.BenignFPR()
-	if !ok || fpr != 0 {
-		t.Fatalf("benign FPR %.2f (ok=%v), want exactly 0", fpr, ok)
-	}
-	for _, sr := range rep.Streams {
-		if len(sr.Flags) != 10 || sr.Sent != 10 {
-			t.Fatalf("stream %s: %d flags / %d sent, want 10/10", sr.Client, len(sr.Flags), sr.Sent)
-		}
-		n := 0
-		for _, f := range sr.Flags {
-			if f {
-				n++
-			}
-		}
-		if n != sr.Flagged {
-			t.Fatalf("stream %s: Flags count %d != Flagged %d", sr.Client, n, sr.Flagged)
-		}
 	}
 }

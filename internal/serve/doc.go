@@ -53,13 +53,6 @@
 //     when tracing, is stamped on the always-emitted span. So requests =
 //     served + shed + rejected + errors by construction, and offered −
 //     requests is the in-flight count.
-//   - RunLoadPhases — the open-loop test harness over a mixed benign +
-//     adversarial traffic pool: it fires a LoadPhase trace (rate ×
-//     duration × adv-frac steps — ramps, bursts, diurnal shapes; one phase
-//     is a fixed-rate run) with per-phase, per-route accounting. All
-//     pacing, deadline stamps and latency measurements read the service
-//     clock, so the control-plane and trace goldens replay it on a fake
-//     clock.
 //   - NewHandler — the HTTP surface (NDJSON /query, /metrics, /healthz)
 //     used by cmd/peltaserve. /query summarizes its line outcomes in
 //     X-Pelta-Served/-Shed/-Errors headers and answers 503 when no line
@@ -102,13 +95,8 @@
 //     detected submission path; the detector's verdicts land in the
 //     per-route metrics (probed, probe_hits, flagged_queries, detect_shed
 //     — a subset of shed: the shed-detect outcome counts into both) and
-//     the flag_events total.
-//   - QueryStream / RunDetectLoad — the detection test harness: labeled
-//     per-client query streams (benign callers vs recorded attack runs)
-//     replayed concurrently across streams but strictly in order within
-//     each, yielding per-query flag verdicts a DetectReport scores as
-//     detection rate vs benign FPR (eval.SummarizeDetect renders the
-//     per-family table).
+//     the flag_events total. eval.ReplayDetect scores it on recorded
+//     attack runs.
 //
 // Concurrency: Submit is safe from any number of goroutines; replicas are
 // never queried concurrently (one worker each, and a scale-up never reuses
@@ -118,6 +106,6 @@
 // or MaxBatch (the fl checkpoint round-trip test pins this), and the
 // coalescing policy is deterministic under the injectable Clock. The whole
 // time surface — batching, deadline shedding, admission buckets, autoscale
-// ticks, loadgen pacing, HTTP latencies, metrics uptime — reads one Clock,
-// so every layer agrees on "now" under a fake clock.
+// ticks, HTTP latencies, metrics uptime — reads one Clock, so every layer
+// agrees on "now" under a fake clock.
 package serve

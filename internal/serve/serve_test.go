@@ -3,7 +3,6 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -178,49 +177,5 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 	bad.Body.Close()
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed line gave %d, want 400", bad.StatusCode)
-	}
-}
-
-// TestRunLoadMixedTraffic exercises the load generator: one phase of mixed
-// benign and "adversarial" items at an open-loop rate, with accounting that
-// adds up.
-func TestRunLoadMixedTraffic(t *testing.T) {
-	cfg := dataset.SynthCIFAR10(8, 9)
-	cfg.Classes, cfg.TrainN, cfg.ValN = 3, 3, 8
-	_, val := dataset.Generate(cfg)
-
-	s := testService(t, 2, serve.Config{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 64})
-	var items []serve.TrafficItem
-	for i := 0; i < val.Len(); i++ {
-		items = append(items, serve.TrafficItem{X: val.X.Slice(i), Label: val.Y[i], Adversarial: i%2 == 1})
-	}
-	phase := serve.LoadPhase{Rate: 500, Duration: 80 * time.Millisecond, AdvFrac: 0.5}
-	prep, err := serve.RunLoadPhases(s, items, []serve.LoadPhase{phase}, serve.LoadConfig{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := &prep.Total
-	if rep.Sent != 40 || rep.Served+rep.Shed+rep.Failed != 40 {
-		t.Fatalf("accounting broken: %+v", rep)
-	}
-	if rep.Failed != 0 {
-		t.Fatalf("%d failed: %+v", rep.Failed, rep)
-	}
-	if rep.BenignServed+rep.AdvServed != rep.Served {
-		t.Fatalf("benign %d + adv %d != served %d", rep.BenignServed, rep.AdvServed, rep.Served)
-	}
-	if len(rep.LatenciesMs) != rep.Served {
-		t.Fatalf("%d latency samples, want %d", len(rep.LatenciesMs), rep.Served)
-	}
-	if rep.Throughput <= 0 {
-		t.Fatal("throughput not measured")
-	}
-	snap := s.Metrics().Snapshot()
-	var routes []string
-	for _, r := range snap.Routes {
-		routes = append(routes, fmt.Sprintf("%s:%d", r.Route, r.Served))
-	}
-	if len(snap.Routes) != 2 {
-		t.Fatalf("want benign+adv routes, got %v", routes)
 	}
 }
