@@ -2,8 +2,10 @@
 //
 // The binary wraps internal/serve around a (optionally checkpoint-warmed)
 // ViT defender: -replicas independent Pelta-shielded replicas behind the
-// micro-batching scheduler (-max-batch/-max-delay/-queue), with -shield
-// selecting shielded or clear replicas.
+// micro-batching scheduler (-max-batch/-max-delay/-queue; a partial batch
+// waits up to -max-delay only while requests are still in admission or
+// every replica is busy), with -shield selecting shielded or clear
+// replicas.
 //
 // The adaptive control plane is opt-in: -max-replicas enables the replica
 // autoscaler (the pool is built at the upper bound, -min-replicas workers

@@ -66,7 +66,7 @@ func run() error {
 	var o options
 	flag.IntVar(&o.replicas, "replicas", 4, "independent shielded replicas (each owns an enclave + arena)")
 	flag.IntVar(&o.maxBatch, "max-batch", 8, "largest coalesced tensor batch")
-	flag.DurationVar(&o.maxDelay, "max-delay", 2*time.Millisecond, "longest a partial batch waits before flushing")
+	flag.DurationVar(&o.maxDelay, "max-delay", 2*time.Millisecond, "longest a partial batch waits before flushing, while requests are still in admission or every replica is busy")
 	flag.IntVar(&o.queue, "queue", 0, "admission queue depth (0 = 8×max-batch); overflow sheds with ErrOverloaded")
 	flag.BoolVar(&o.shield, "shield", true, "serve through Pelta-shielded replicas (false = clear forwards)")
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:8321", "HTTP listen address")

@@ -30,20 +30,6 @@ func gatedService(t *testing.T, n int, fc *fakeClock, as AutoscaleConfig, queueD
 	return s, reps
 }
 
-// openGatesOnce returns a func that opens the replicas' gates exactly once
-// however often it is called — deferred in gated tests so a Fatal before
-// the drain cannot leave the deferred Close hanging on a blocked worker.
-func openGatesOnce(reps ...*stubReplica) func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			for _, r := range reps {
-				close(r.gate)
-			}
-		})
-	}
-}
-
 // routeOffered reads a route's offered counter — the race-proof signal
 // that every launched Submit has stamped its state before a tick fires.
 func routeOffered(s *Service, route string) uint64 {

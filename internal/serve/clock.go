@@ -3,8 +3,10 @@ package serve
 import "time"
 
 // Clock abstracts wall time for the scheduler so the batch-coalescing
-// policy is testable deterministically: under a fake clock a partial batch
-// flushes exactly when the test advances past MaxDelay, never earlier.
+// policy is testable deterministically: a partial batch waits on the clock
+// only while requests are still in admission or every worker is busy, and
+// under a fake clock such a batch flushes exactly when the test advances
+// past MaxDelay (or a worker comes free), never earlier.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time

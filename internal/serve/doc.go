@@ -11,8 +11,11 @@
 //     Param.Grad read or written, same logits bit for bit.
 //   - Service — the micro-batching scheduler: Submit enqueues one sample,
 //     a batcher coalesces queued requests into tensor batches under a
-//     MaxBatch/MaxDelay policy, and one worker goroutine per live replica
-//     runs batches and fans logit rows back to per-request futures. A
+//     MaxBatch/MaxDelay policy — a partial batch waits up to MaxDelay only
+//     while requests are still in admission or every worker is busy, and
+//     otherwise goes straight to an idle worker — and one worker goroutine
+//     per live replica runs batches and fans logit rows back to
+//     per-request futures. A
 //     panic under Replica.Logits (a shape or bounds check in the kernels)
 //     is recovered on the worker and handled like a returned error: every
 //     line of that batch leaves with the error outcome, the worker keeps

@@ -31,6 +31,8 @@ func (failingReplica) Logits(*tensor.Tensor) (*tensor.Tensor, error) {
 // flight at rest, detect_shed ≤ shed, the outcome lands in its own counter,
 // and every request that got no answer emitted exactly one span carrying
 // that outcome (served ones none: they are no anomaly and Sample is 0).
+// Every exit also hands back its arriving count: one leaked count would
+// make every later partial batch wait out MaxDelay beside an idle worker.
 func TestOutcomeAccounting(t *testing.T) {
 	// traced builds a one-replica service with tracing armed at Sample 0.
 	traced := func(t *testing.T, rep Replica, cfg Config) *Service {
@@ -72,6 +74,12 @@ func TestOutcomeAccounting(t *testing.T) {
 		{"wrong shape", obs.OutcomeRejected, "t", func(t *testing.T) (*Service, int) {
 			s := traced(t, newStubReplica(), Config{})
 			return s, submit(s, "t", "", tensor.New(2, 2), time.Time{})
+		}},
+		{"non-finite", obs.OutcomeRejected, "t", func(t *testing.T) (*Service, int) {
+			s := traced(t, newStubReplica(), Config{})
+			x := sample(1)
+			x.Data()[1] = float32(math.NaN())
+			return s, submit(s, "t", "", x, time.Time{})
 		}},
 		{"deadline at admission", obs.OutcomeShedDeadlineAdmit, "t", func(t *testing.T) (*Service, int) {
 			fc := newFakeClock()
@@ -162,6 +170,9 @@ func TestOutcomeAccounting(t *testing.T) {
 			if (unserved == 0) != (c.outcome == obs.OutcomeServed) {
 				t.Fatalf("%d requests got no answer on the %s path", unserved, c.outcome)
 			}
+			if n := s.arriving.Load(); n != 0 {
+				t.Errorf("arriving = %d at rest after the %s path, want 0", n, c.outcome)
+			}
 
 			var hit RouteSnapshot
 			for _, r := range s.Metrics().Snapshot().Routes {
@@ -210,6 +221,25 @@ func TestOutcomeAccounting(t *testing.T) {
 			}
 		})
 	}
+	// A closed service counts and traces nothing, so the table cannot hold
+	// it; its two entries, a Submit and a /query body, still hand back the
+	// arriving count.
+	t.Run("closed service", func(t *testing.T) {
+		s := traced(t, newStubReplica(), Config{})
+		s.Close()
+		if _, err := s.SubmitFrom("t", "c", sample(1), time.Time{}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("submit on a closed service: %v, want ErrClosed", err)
+		}
+		rec := httptest.NewRecorder()
+		body := strings.NewReader(`{"x":[1,1,1,1]}` + "\n" + `{"x":[2,2,2,2]}` + "\n")
+		NewHandler(s).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", body))
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("status %d, want 503", rec.Code)
+		}
+		if n := s.arriving.Load(); n != 0 {
+			t.Fatalf("arriving = %d at rest on a closed service, want 0", n)
+		}
+	})
 }
 
 // panickyReplica is a stubReplica whose first batch panics, the way a shape

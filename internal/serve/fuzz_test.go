@@ -12,9 +12,10 @@ import (
 // service. Whatever the body, the handler must not panic, must answer one of
 // the four statuses it documents, and must leave the books balanced: at rest
 // requests = served + shed + rejected + errors and offered = requests on the
-// query route. The seed corpus (testdata/fuzz/FuzzQueryBody) holds a valid
-// line, lines with deadlines, an empty body, truncated JSON, a wrong length,
-// NaN and 1e999 values, a 65-KB line and blank lines only.
+// query route, and no request is still counted as arriving. The seed corpus
+// (testdata/fuzz/FuzzQueryBody) holds a valid line, lines with deadlines, an
+// empty body, truncated JSON, a wrong length, NaN and 1e999 values, a 65-KB
+// line and blank lines only.
 func FuzzQueryBody(f *testing.F) {
 	pool, err := NewReplicaPool(1, func(int) (Replica, error) { return newFixedReplica(4), nil })
 	if err != nil {
@@ -36,6 +37,9 @@ func FuzzQueryBody(f *testing.F) {
 			if r.Requests != r.Served+r.Shed+r.Rejected+r.Errors || r.Offered != r.Requests {
 				t.Fatalf("route %+v unbalanced at rest after body %q", r, body)
 			}
+		}
+		if n := s.arriving.Load(); n != 0 {
+			t.Fatalf("arriving = %d at rest after body %q", n, body)
 		}
 	})
 }

@@ -193,12 +193,15 @@ func NewHandlerWith(s *Service, opts HandlerOptions) http.Handler {
 		// queue and shedding most of itself while replicas sit idle. (The
 		// probe detector sees this client's lines in whatever order the
 		// submits race in; near-duplicate detection is order-insensitive
-		// within one body.)
+		// within one body.) Every line is counted as arriving before the
+		// first goroutine starts, so the batcher holds a partial batch for
+		// the rest of the body instead of handing it to an idle worker.
 		clock := s.Clock()
 		out := make([]QueryResponse, len(reqs))
 		var served, shed, failed atomic.Int64
 		sem := make(chan struct{}, s.cfg.QueueDepth)
 		var wg sync.WaitGroup
+		s.arriving.Add(int64(len(reqs)))
 		for i, q := range reqs {
 			wg.Add(1)
 			sem <- struct{}{}
@@ -211,7 +214,7 @@ func NewHandlerWith(s *Service, opts HandlerOptions) http.Handler {
 				if q.DeadlineMs > 0 {
 					deadline = start.Add(time.Duration(q.DeadlineMs * float64(time.Millisecond)))
 				}
-				res, err := s.SubmitFrom("query", client, x, deadline)
+				res, err := s.submit("query", client, x, deadline)
 				if err != nil {
 					if errors.Is(err, ErrOverloaded) {
 						shed.Add(1)

@@ -91,28 +91,32 @@ func TestQueryDeadlineShedOnServiceClock(t *testing.T) {
 	rep := newStubReplica()
 	rep.gate = make(chan struct{})
 	s := NewService(stubPool(t, rep), Config{MaxBatch: 2, MaxDelay: 2 * time.Millisecond, QueueDepth: 4, Clock: fc})
-	defer s.Close()
 	srv := httptest.NewServer(NewHandler(s))
+	// Deferred in this order so that a Fatal unwinds gate, then service,
+	// then server: the server's Close waits for every open request.
 	defer srv.Close()
+	defer s.Close()
+	defer openGatesOnce(rep)()
 
-	// Request A (no deadline): the batcher opens a partial batch and arms
-	// the MaxDelay timer — the observable that A reached the scheduler.
+	// Request A (no deadline) finds the replica idle and goes straight to
+	// it, clock frozen; the gate holds it there.
 	aDone := make(chan *http.Response, 1)
 	go func() {
 		aDone <- postLines(t, srv.URL, `{"x":[1,1,1,1]}`)
 	}()
-	waitFor(t, func() bool { return fc.pending() == 1 })
-	// Flush A to the gated replica.
-	fc.Advance(5 * time.Millisecond)
 	waitFor(t, func() bool { return rep.serving.Load() == 1 })
 
-	// Request B carries a 10ms deadline stamped from the fake clock at
-	// admission; its partial batch arms a fresh timer once B is in.
+	// Request B carries a 10ms deadline stamped from the fake clock before
+	// it is offered. Admission holds s.mu shared until the queue send, so
+	// once B is offered, taking the lock waits until B is queued — past the
+	// admission deadline check, behind the busy replica.
 	bDone := make(chan *http.Response, 1)
 	go func() {
 		bDone <- postLines(t, srv.URL, `{"x":[2,2,2,2],"deadline_ms":10}`)
 	}()
-	waitFor(t, func() bool { return fc.pending() == 1 })
+	waitFor(t, func() bool { return routeOffered(s, "query") == 2 })
+	s.mu.Lock()
+	s.mu.Unlock()
 
 	// The fake clock jumps past B's deadline while B's batch still waits
 	// behind the busy replica; only then does the replica come free.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pelta/internal/detect"
@@ -25,8 +26,10 @@ type Config struct {
 	// (default 8). A full batch dispatches immediately.
 	MaxBatch int
 	// MaxDelay bounds how long a partial batch waits for company before it
-	// is flushed anyway (default 2ms). Lower favors latency, higher favors
-	// throughput.
+	// is flushed anyway (default 2ms). A partial batch waits only while
+	// more requests are still in admission or every worker is busy: an
+	// idle worker otherwise takes it at once. Lower favors latency, higher
+	// favors throughput.
 	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue (default 8×MaxBatch). A
 	// request arriving at a full queue is shed with ErrOverloaded instead
@@ -133,6 +136,12 @@ type Service struct {
 	dispatch  chan []*request
 	scaleQuit chan struct{}
 	wg        sync.WaitGroup
+
+	// arriving counts requests that have entered admission and have
+	// neither been taken off the queue by the batcher nor left unserved.
+	// The batcher offers a partial batch to an idle worker only when it is
+	// zero, so the lines of one body still share a batch.
+	arriving atomic.Int64
 
 	mu      sync.RWMutex
 	closed  bool
@@ -315,9 +324,20 @@ func (s *Service) Submit(route string, x *tensor.Tensor, deadline time.Time) (*R
 // requests are logged, deprioritized or shed per the configured
 // DetectAction. An empty client skips detection (exactly Submit).
 func (s *Service) SubmitFrom(route, client string, x *tensor.Tensor, deadline time.Time) (*Result, error) {
+	s.arriving.Add(1)
+	return s.submit(route, client, x, deadline)
+}
+
+// submit is SubmitFrom for a request its caller has already counted in
+// s.arriving. Every exit before the queue takes the count back exactly
+// once; a queued request's count is the batcher's to take back when it
+// receives it, so the request is never invisible to the batcher between
+// leaving admission and joining a batch.
+func (s *Service) submit(route, client string, x *tensor.Tensor, deadline time.Time) (*Result, error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
+		s.arriving.Add(-1)
 		// No metrics on a closed service: a closed-path Offered with no
 		// resolving counter would read as an in-flight request forever.
 		return nil, ErrClosed
@@ -330,6 +350,7 @@ func (s *Service) SubmitFrom(route, client string, x *tensor.Tensor, deadline ti
 	}
 	if !equalShape(x.Shape(), want) {
 		s.mu.RUnlock()
+		s.arriving.Add(-1)
 		s.unserved(route, &sp, obs.OutcomeRejected)
 		return nil, fmt.Errorf("serve: sample shape %v, want %v", x.Shape(), want)
 	}
@@ -338,6 +359,7 @@ func (s *Service) SubmitFrom(route, client string, x *tensor.Tensor, deadline ti
 	for _, v := range x.Data() {
 		if v-v != 0 {
 			s.mu.RUnlock()
+			s.arriving.Add(-1)
 			s.unserved(route, &sp, obs.OutcomeRejected)
 			return nil, errors.New("serve: sample has a non-finite value (NaN or ±Inf)")
 		}
@@ -346,6 +368,7 @@ func (s *Service) SubmitFrom(route, client string, x *tensor.Tensor, deadline ti
 	now := s.cfg.Clock.Now()
 	if !deadline.IsZero() && now.After(deadline) {
 		s.mu.RUnlock()
+		s.arriving.Add(-1)
 		s.unserved(route, &sp, obs.OutcomeShedDeadlineAdmit)
 		return nil, fmt.Errorf("serve: deadline passed at admission: %w", ErrOverloaded)
 	}
@@ -366,6 +389,7 @@ func (s *Service) SubmitFrom(route, client string, x *tensor.Tensor, deadline ti
 			switch s.cfg.Detect.Action {
 			case DetectShed:
 				s.mu.RUnlock()
+				s.arriving.Add(-1)
 				s.unserved(route, &sp, obs.OutcomeShedDetect)
 				return nil, fmt.Errorf("serve: probe detector shed client %q: %w (%w)", client, ErrFlagged, ErrOverloaded)
 			case DetectDeprioritize:
@@ -377,6 +401,7 @@ func (s *Service) SubmitFrom(route, client string, x *tensor.Tensor, deadline ti
 	}
 	if s.admit != nil && !s.admit.allow(admitRoute, now) {
 		s.mu.RUnlock()
+		s.arriving.Add(-1)
 		s.unserved(route, &sp, obs.OutcomeShedAdmitLimit)
 		return nil, fmt.Errorf("serve: admission limit for route %q (weighted token bucket): %w", admitRoute, ErrOverloaded)
 	}
@@ -393,6 +418,7 @@ func (s *Service) SubmitFrom(route, client string, x *tensor.Tensor, deadline ti
 		s.mu.RUnlock()
 	default:
 		s.mu.RUnlock()
+		s.arriving.Add(-1)
 		// The request never made it into the queue: report the local copy
 		// with the enqueue instant rolled back.
 		sp.Enqueued = obs.NoOffset
@@ -431,11 +457,17 @@ func (s *Service) unserved(route string, sp *obs.SpanRecord, outcome string) {
 }
 
 // batcher coalesces queued requests into batches: it opens a batch on the
-// first arrival, greedily drains whatever is already queued, and flushes on
-// whichever comes first of MaxBatch or MaxDelay. Requests never queue
-// behind an idle timer: an already-full queue produces full batches without
-// ever consulting the clock, which is what makes the policy deterministic
-// under a fake clock.
+// first arrival and greedily drains whatever is already queued. A full
+// batch leaves at once. Once the queue is empty, a partial batch goes
+// straight to an idle worker unless more requests are still in admission
+// (s.arriving); it waits — for company, a worker coming free or MaxDelay,
+// whichever comes first — only while requests are on their way or every
+// worker is busy. A worker with nothing to do is blocked receiving on the
+// unbuffered dispatch channel, so a send succeeds exactly when one is
+// idle. Requests never queue behind an idle timer: a full queue produces
+// full batches and a lone request meets an idle worker without ever
+// consulting the clock, which is what makes the policy deterministic under
+// a fake clock.
 func (s *Service) batcher() {
 	defer s.wg.Done()
 	defer close(s.dispatch)
@@ -444,10 +476,11 @@ func (s *Service) batcher() {
 		if !ok {
 			return
 		}
+		s.arriving.Add(-1)
 		batch := append(make([]*request, 0, s.cfg.MaxBatch), r)
 		var timer Timer
 		var timerC <-chan time.Time
-		qClosed := false
+		qClosed, sent := false, false
 	fill:
 		for len(batch) < s.cfg.MaxBatch {
 			// Drain immediately available requests without arming a timer.
@@ -457,9 +490,22 @@ func (s *Service) batcher() {
 					qClosed = true
 					break fill
 				}
+				s.arriving.Add(-1)
 				batch = append(batch, r2)
 				continue
 			default:
+			}
+			// With nothing on its way, an idle worker takes the batch now,
+			// and one coming free while the batch waits takes it then.
+			var idle chan<- []*request
+			if s.arriving.Load() == 0 {
+				select {
+				case s.dispatch <- batch:
+					sent = true
+					break fill
+				default:
+				}
+				idle = s.dispatch
 			}
 			if timer == nil {
 				timer = s.cfg.Clock.NewTimer(s.cfg.MaxDelay)
@@ -471,7 +517,11 @@ func (s *Service) batcher() {
 					qClosed = true
 					break fill
 				}
+				s.arriving.Add(-1)
 				batch = append(batch, r2)
+			case idle <- batch:
+				sent = true
+				break fill
 			case <-timerC:
 				break fill
 			}
@@ -479,7 +529,9 @@ func (s *Service) batcher() {
 		if timer != nil {
 			timer.Stop()
 		}
-		s.dispatch <- batch
+		if !sent {
+			s.dispatch <- batch
+		}
 		if qClosed {
 			return
 		}

@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,6 +73,18 @@ func (f *fakeClock) pending() int {
 	return n
 }
 
+// delivered reports that every fired timer's tick has been received.
+func (f *fakeClock) delivered() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, t := range f.timers {
+		if len(t.c) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func (t *fakeTimer) C() <-chan time.Time { return t.c }
 
 func (t *fakeTimer) Stop() bool {
@@ -131,84 +148,172 @@ func stubPool(t testing.TB, reps ...*stubReplica) *ReplicaPool {
 	return p
 }
 
+// openGatesOnce returns a func that opens the replicas' gates exactly once
+// however often it is called. Every gated test defers it after its deferred
+// Close, so a Fatal before the drain cannot leave that Close waiting on a
+// worker parked at a gate nobody opens.
+func openGatesOnce(reps ...*stubReplica) func() {
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			for _, r := range reps {
+				close(r.gate)
+			}
+		})
+	}
+}
+
 func sample(v float32) *tensor.Tensor {
 	x := tensor.New(1, 2, 2)
 	x.Fill(v)
 	return x
 }
 
-// TestCoalesceFullBatchDeterministic pins the batching policy under a fake
-// clock: with the delay timer frozen, the only flush trigger is a full
-// batch, so four concurrent submits must ride one batch of four.
+// TestCoalesceFullBatchDeterministic pins the other half of the idle rule:
+// the /query handler counts every line of a body as arriving before it
+// submits any, so on a frozen clock a 4-line POST to an idle one-replica
+// service rides exactly one batch of 4 instead of leaving line by line for
+// the idle worker. The arriving count is back at zero at rest.
 func TestCoalesceFullBatchDeterministic(t *testing.T) {
 	fc := newFakeClock()
 	rep := newStubReplica()
 	s := NewService(stubPool(t, rep), Config{MaxBatch: 4, QueueDepth: 16, Clock: fc})
 	defer s.Close()
 
-	var wg sync.WaitGroup
-	results := make([]*Result, 4)
-	errs := make([]error, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = s.Submit("t", sample(float32(i+1)), time.Time{})
-		}(i)
+	var body strings.Builder
+	for i := 1; i <= 4; i++ {
+		fmt.Fprintf(&body, "{\"x\":[%d,%d,%d,%d]}\n", i, i, i, i)
 	}
-	wg.Wait()
+	rec := httptest.NewRecorder()
+	NewHandler(s).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query?logits=1", strings.NewReader(body.String())))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	dec := json.NewDecoder(rec.Body)
 	for i := 0; i < 4; i++ {
-		if errs[i] != nil {
-			t.Fatalf("submit %d: %v", i, errs[i])
+		var qr QueryResponse
+		if err := dec.Decode(&qr); err != nil {
+			t.Fatalf("line %d: %v", i, err)
 		}
-		if results[i].BatchSize != 4 {
-			t.Fatalf("submit %d rode batch of %d, want 4 (policy must coalesce)", i, results[i].BatchSize)
+		if qr.Error != "" {
+			t.Fatalf("line %d: %s", i, qr.Error)
+		}
+		if qr.Batch != 4 {
+			t.Fatalf("line %d rode batch of %d, want 4 (policy must coalesce a body)", i, qr.Batch)
 		}
 		// logits[j] = (j+1)·sum = (j+1)·4·(i+1); argmax is the last class.
-		want := float32(4 * (i + 1) * 3)
-		if got := results[i].Logits.At(2); got != want {
-			t.Fatalf("submit %d logits[2] = %v, want %v", i, got, want)
+		if want := float32(4 * (i + 1) * 3); len(qr.Logits) != 3 || qr.Logits[2] != want {
+			t.Fatalf("line %d logits %v, want logits[2] = %v", i, qr.Logits, want)
 		}
-		if results[i].Class != 2 {
-			t.Fatalf("submit %d class = %d, want 2", i, results[i].Class)
+		if qr.Class != 2 {
+			t.Fatalf("line %d class = %d, want 2", i, qr.Class)
 		}
 	}
 	if got := rep.batches; len(got) != 1 || got[0] != 4 {
 		t.Fatalf("replica saw batches %v, want [4]", got)
 	}
+	if n := s.arriving.Load(); n != 0 {
+		t.Fatalf("arriving = %d at rest, want 0", n)
+	}
 }
 
-// TestPartialBatchFlushesOnMaxDelay pins the other edge of the policy: a
-// lone request flushes exactly when the clock passes MaxDelay.
-func TestPartialBatchFlushesOnMaxDelay(t *testing.T) {
+// TestIdleWorkerTakesPartialBatch pins the light-load edge of the policy:
+// a lone request that finds the replica idle is served at once, with the
+// clock frozen and no MaxDelay timer left armed.
+func TestIdleWorkerTakesPartialBatch(t *testing.T) {
 	fc := newFakeClock()
 	rep := newStubReplica()
 	s := NewService(stubPool(t, rep), Config{MaxBatch: 4, MaxDelay: 5 * time.Millisecond, QueueDepth: 16, Clock: fc})
 	defer s.Close()
 
-	done := make(chan struct{})
-	var res *Result
-	var err error
-	go func() {
-		defer close(done)
-		res, err = s.Submit("t", sample(1), time.Time{})
-	}()
+	for i := 0; i < 3; i++ {
+		done := make(chan struct{})
+		var res *Result
+		var err error
+		go func() {
+			defer close(done)
+			res, err = s.Submit("t", sample(1), time.Time{})
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a lone request waited for the clock although the replica was idle")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BatchSize != 1 {
+			t.Fatalf("batch size %d, want 1", res.BatchSize)
+		}
+	}
+	if n := fc.pending(); n != 0 {
+		t.Fatalf("%d MaxDelay timers left armed for batches an idle worker took at once", n)
+	}
+}
 
-	// The batcher must arm the delay timer for the partial batch...
-	waitFor(t, func() bool { return fc.pending() > 0 })
-	select {
-	case <-done:
-		t.Fatal("partial batch flushed before MaxDelay")
-	case <-time.After(20 * time.Millisecond):
+// TestPartialBatchWaitsForBusyWorker pins the loaded edge: with the only
+// replica busy, a partial batch keeps growing and leaves the moment the
+// replica comes free, without a clock advance. MaxDelay still bounds the
+// growth: once the clock passes it, the batch is closed and a later
+// arrival rides the next one.
+func TestPartialBatchWaitsForBusyWorker(t *testing.T) {
+	fc := newFakeClock()
+	rep := newStubReplica()
+	rep.gate = make(chan struct{})
+	s := NewService(stubPool(t, rep), Config{MaxBatch: 4, MaxDelay: 5 * time.Millisecond, QueueDepth: 16, Clock: fc})
+	defer s.Close()
+	open := openGatesOnce(rep)
+	defer open() // a Fatal before the drain must not hang the Close
+
+	var wg sync.WaitGroup
+	sizes := make([]int, 5)
+	submit := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := s.Submit("t", sample(float32(i+1)), time.Time{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sizes[i] = res.BatchSize
+		}()
 	}
-	// ...and flush once the clock passes it.
-	fc.Advance(5 * time.Millisecond)
-	<-done
-	if err != nil {
-		t.Fatal(err)
+	// batched waits until the n-th submit sits in the batcher's open batch:
+	// admission holds s.mu shared until the queue send, and only the
+	// batcher empties the queue.
+	batched := func(n int) {
+		waitFor(t, func() bool { return routeOffered(s, "t") == uint64(n) })
+		s.mu.Lock()
+		s.mu.Unlock()
+		waitFor(t, func() bool { return len(s.queue) == 0 })
 	}
-	if res.BatchSize != 1 {
-		t.Fatalf("batch size %d, want 1", res.BatchSize)
+
+	submit(0) // A finds the replica idle and leaves alone, clock frozen
+	waitFor(t, func() bool { return rep.serving.Load() == 1 })
+	submit(1) // B waits on the busy replica under a MaxDelay timer...
+	batched(2)
+	waitFor(t, func() bool { return fc.pending() == 1 })
+	submit(2) // ...and C joins it
+	batched(3)
+	rep.gate <- struct{}{} // A finishes: the replica takes {B, C} at once
+	waitFor(t, func() bool { return rep.serving.Load() == 2 })
+
+	submit(3) // D waits on the busy replica...
+	batched(4)
+	waitFor(t, func() bool { return fc.pending() == 1 })
+	fc.Advance(5 * time.Millisecond) // ...until MaxDelay closes its batch
+	waitFor(t, fc.delivered)
+	submit(4) // E finds the batcher holding {D} for the replica
+	waitFor(t, func() bool { return routeOffered(s, "t") == 5 && len(s.queue) == 1 })
+	open()
+	wg.Wait()
+
+	if want := []int{1, 2, 2, 1, 1}; !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("batch sizes %v, want %v", sizes, want)
+	}
+	if want := []int{1, 2, 1, 1}; !reflect.DeepEqual(rep.batches, want) {
+		t.Fatalf("replica saw batches %v, want %v", rep.batches, want)
 	}
 }
 
@@ -219,6 +324,9 @@ func TestQueueFullShedsWithErrOverloaded(t *testing.T) {
 	rep := newStubReplica()
 	rep.gate = make(chan struct{})
 	s := NewService(stubPool(t, rep), Config{MaxBatch: 1, QueueDepth: 1})
+	defer s.Close()
+	open := openGatesOnce(rep)
+	defer open() // a Fatal before the drain must not hang the Close
 
 	var admitted, shed atomic.Int32
 	var wg sync.WaitGroup
@@ -251,9 +359,8 @@ func TestQueueFullShedsWithErrOverloaded(t *testing.T) {
 	// exceed the pipeline capacity of 3); only then free the replica so
 	// the admitted requests complete.
 	waitFor(t, func() bool { return shed.Load() >= 1 })
-	close(rep.gate)
+	open()
 	wg.Wait()
-	s.Close()
 
 	if shed.Load() < 1 {
 		t.Fatal("no request was shed although the queue bound was exceeded")
@@ -275,6 +382,7 @@ func TestDeadlineShedBeforeService(t *testing.T) {
 	rep.gate = make(chan struct{})
 	s := NewService(stubPool(t, rep), Config{MaxBatch: 1, QueueDepth: 4, Clock: fc})
 	defer s.Close()
+	defer openGatesOnce(rep)() // a Fatal before the drain must not hang the Close
 
 	aErr := make(chan error, 1)
 	go func() {

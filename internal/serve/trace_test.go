@@ -36,6 +36,7 @@ func TestTraceServedSpanChain(t *testing.T) {
 		Trace: &TraceConfig{Sample: 1.0},
 	})
 	defer s.Close()
+	defer openGatesOnce(rep)() // a Fatal before the drain must not hang the Close
 
 	done := make(chan error, 1)
 	go func() {
@@ -92,6 +93,9 @@ func TestTraceAnomaliesAlwaysKept(t *testing.T) {
 		MaxBatch: 1, QueueDepth: 1,
 		Trace: &TraceConfig{Sample: 0},
 	})
+	defer s.Close()
+	open := openGatesOnce(rep)
+	defer open() // a Fatal before the drain must not hang the Close
 
 	var wg sync.WaitGroup
 	var shed int
@@ -109,7 +113,7 @@ func TestTraceAnomaliesAlwaysKept(t *testing.T) {
 		}()
 	}
 	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return shed >= 1 })
-	close(rep.gate)
+	open()
 	wg.Wait()
 	s.Close()
 
