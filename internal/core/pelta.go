@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"pelta/internal/autograd"
 	"pelta/internal/tee"
@@ -28,6 +29,7 @@ type shielder struct {
 	enclave *tee.Enclave
 	pass    int
 	report  ShieldReport
+	key     [64]byte // reused to build each enclave key
 }
 
 // Protect applies Algorithm 1 (PELTA(G)) to the completed pass recorded in
@@ -40,8 +42,15 @@ type shielder struct {
 // parents that are the input, the local jacobian — realized as the computed
 // input gradient ∇xL, the product that only exists because the shielded
 // shallow backward ran — is stored and scrubbed as well (Alg. 1 lines 7-9).
+//
+// A vertex's objects are keyed "pass<passID>/u<id>-<op>/out" and ".../grad",
+// a jacobian "pass<passID>/J-x<input>-to-u<child>". Each key is appended
+// with strconv into one buffer reused across the pass, so the only
+// allocation per key is its string, which the enclave map and
+// ShieldReport.Keys share.
 func Protect(g *autograd.Graph, enclave *tee.Enclave, sel []*autograd.Value, passID int) (*ShieldReport, error) {
-	s := &shielder{enclave: enclave, pass: passID}
+	// The paper's models store a handful of objects per pass.
+	s := &shielder{enclave: enclave, pass: passID, report: ShieldReport{Keys: make([]string, 0, 8)}}
 	for _, u := range sel {
 		if u.IsInput() {
 			return nil, fmt.Errorf("core: Select must choose vertices after the input leaves (u%d is the input)", u.ID())
@@ -94,9 +103,13 @@ func (s *shielder) shield(u *autograd.Value) error {
 
 // storeVertex moves u's tensors across the secure channel.
 func (s *shielder) storeVertex(u *autograd.Value) error {
-	base := fmt.Sprintf("pass%d/u%d-%s", s.pass, u.ID(), u.Op())
-	if err := s.store(base+"/out", u); err != nil {
-		return err
+	if u.Data != nil {
+		key := s.vertexKey(u, "/out")
+		if err := s.enclave.Store(key, u.Data); err != nil {
+			return fmt.Errorf("core: shielding u%d (%s): %w", u.ID(), u.Op(), err)
+		}
+		s.report.Bytes += u.Data.Bytes()
+		s.report.Keys = append(s.report.Keys, key)
 	}
 	// Parameter leaves alias a persistent, pre-allocated gradient buffer;
 	// only store it when this pass actually produced gradients (forward-only
@@ -106,7 +119,7 @@ func (s *shielder) storeVertex(u *autograd.Value) error {
 		grad = nil
 	}
 	if grad != nil {
-		key := base + "/grad"
+		key := s.vertexKey(u, "/grad")
 		if err := s.enclave.Store(key, grad); err != nil {
 			return fmt.Errorf("core: shielding gradient of u%d: %w", u.ID(), err)
 		}
@@ -114,6 +127,23 @@ func (s *shielder) storeVertex(u *autograd.Value) error {
 		s.report.Keys = append(s.report.Keys, key)
 	}
 	return nil
+}
+
+// passKey starts a key in the reused buffer: "pass<N>/".
+func (s *shielder) passKey() []byte {
+	return append(strconv.AppendInt(append(s.key[:0], "pass"...), int64(s.pass), 10), '/')
+}
+
+// vertexKey returns "pass<N>/u<id>-<op>" followed by suffix.
+func (s *shielder) vertexKey(u *autograd.Value, suffix string) string {
+	b := strconv.AppendInt(append(s.passKey(), 'u'), int64(u.ID()), 10)
+	return string(append(append(append(b, '-'), u.Op()...), suffix...))
+}
+
+// jacobianKey returns "pass<N>/J-x<input>-to-u<child>".
+func (s *shielder) jacobianKey(input, child *autograd.Value) string {
+	b := strconv.AppendInt(append(s.passKey(), "J-x"...), int64(input.ID()), 10)
+	return string(strconv.AppendInt(append(b, "-to-u"...), int64(child.ID()), 10))
 }
 
 func isZero(t *tensor.Tensor) bool {
@@ -125,18 +155,6 @@ func isZero(t *tensor.Tensor) bool {
 	return true
 }
 
-func (s *shielder) store(key string, u *autograd.Value) error {
-	if u.Data == nil {
-		return nil
-	}
-	if err := s.enclave.Store(key, u.Data); err != nil {
-		return fmt.Errorf("core: shielding u%d (%s): %w", u.ID(), u.Op(), err)
-	}
-	s.report.Bytes += u.Data.Bytes()
-	s.report.Keys = append(s.report.Keys, key)
-	return nil
-}
-
 // storeInputJacobian masks J_{x→i}: the pass's input gradient.
 func (s *shielder) storeInputJacobian(input, child *autograd.Value) error {
 	s.report.Jacobians++
@@ -145,7 +163,7 @@ func (s *shielder) storeInputJacobian(input, child *autograd.Value) error {
 		// hide (the "skipped in practice" case of §IV-B).
 		return nil
 	}
-	key := fmt.Sprintf("pass%d/J-x%d-to-u%d", s.pass, input.ID(), child.ID())
+	key := s.jacobianKey(input, child)
 	if err := s.enclave.Store(key, input.Grad); err != nil {
 		return fmt.Errorf("core: shielding input jacobian: %w", err)
 	}

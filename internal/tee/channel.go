@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"pelta/internal/tensor"
 )
@@ -15,9 +16,19 @@ import (
 // secureChannel is the AES-GCM channel carrying payloads across the
 // normal/secure world boundary. Establishing it models the key exchange a
 // real TrustZone deployment performs after attestation.
+//
+// A message is [nonce | payload | tag] in one reused wire buffer: the
+// payload is appended behind the nonce, sealed in place and opened in
+// place. The nonce is a per-channel counter (4 zero bytes, then the counter
+// as a big-endian uint64), so no nonce repeats under the channel's key. A
+// channel is not safe for concurrent use; the enclave drives it under e.mu.
 type secureChannel struct {
-	aead cipher.AEAD
+	aead    cipher.AEAD
+	counter uint64 // the next nonce; math.MaxUint64 means exhausted
+	wire    []byte
 }
+
+var errNonceExhausted = errors.New("secure channel nonce counter exhausted")
 
 func newSecureChannel() (*secureChannel, error) {
 	key := make([]byte, 32)
@@ -32,82 +43,117 @@ func newSecureChannel() (*secureChannel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("creating GCM: %w", err)
 	}
-	return &secureChannel{aead: aead}, nil
+	return &secureChannel{aead: aead, wire: make([]byte, aead.NonceSize())}, nil
 }
 
-// seal encrypts a payload for the boundary crossing.
-func (c *secureChannel) seal(plain []byte) ([]byte, error) {
-	nonce := make([]byte, c.aead.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, fmt.Errorf("generating nonce: %w", err)
+// message returns the wire buffer cut back to its nonce slot; the payload
+// is appended to it and the result handed to seal.
+func (c *secureChannel) message() []byte { return c.wire[:c.aead.NonceSize()] }
+
+// seal encrypts msg's payload (everything after the nonce slot) in place
+// under the next counter nonce and returns the sealed message. The buffer,
+// grown for the tag if need be, is kept as the wire buffer.
+func (c *secureChannel) seal(msg []byte) ([]byte, error) {
+	if c.counter == math.MaxUint64 {
+		return nil, errNonceExhausted
 	}
-	return c.aead.Seal(nonce, nonce, plain, nil), nil
+	ns := c.aead.NonceSize()
+	c.wire = slices.Grow(msg, c.aead.Overhead())
+	clear(c.wire[:ns-8])
+	binary.BigEndian.PutUint64(c.wire[ns-8:ns], c.counter)
+	c.counter++
+	ct := c.aead.Seal(c.wire[ns:ns], c.wire[:ns], c.wire[ns:], nil)
+	return c.wire[:ns+len(ct)], nil
 }
 
-// open decrypts a payload inside the receiving world.
-func (c *secureChannel) open(sealed []byte) ([]byte, error) {
+// open authenticates and decrypts a sealed message in place, returning the
+// payload (which aliases msg).
+func (c *secureChannel) open(msg []byte) ([]byte, error) {
 	ns := c.aead.NonceSize()
-	if len(sealed) < ns {
+	if len(msg) < ns+c.aead.Overhead() {
 		return nil, errors.New("sealed payload too short")
 	}
-	return c.aead.Open(nil, sealed[:ns], sealed[ns:], nil)
+	return c.aead.Open(msg[ns:ns], msg[:ns], msg[ns:], nil)
 }
 
-// encodeTensor serializes shape + payload as little-endian bytes.
-func encodeTensor(t *tensor.Tensor) []byte {
-	shape := t.Shape()
-	buf := make([]byte, 4+4*len(shape)+4*t.Len())
-	binary.LittleEndian.PutUint32(buf, uint32(len(shape)))
-	off := 4
-	for _, d := range shape {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(d))
-		off += 4
+// appendTensor appends t's shape and payload to dst as little-endian bytes.
+func appendTensor(dst []byte, t *tensor.Tensor) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.Rank()))
+	for _, d := range t.Shape() {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
 	}
-	for _, v := range t.Data() {
-		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(v))
-		off += 4
+	off := len(dst)
+	dst = slices.Grow(dst, 4*t.Len())[:off+4*t.Len()]
+	for i, v := range t.Data() {
+		binary.LittleEndian.PutUint32(dst[off+4*i:], math.Float32bits(v))
 	}
-	return buf
+	return dst
 }
 
-// decodeTensor reverses encodeTensor.
-func decodeTensor(buf []byte) (*tensor.Tensor, error) {
+// decodeTensor reverses appendTensor. When into has the payload's shape the
+// elements are decoded into it and into is returned; otherwise (or when into
+// is nil) a fresh tensor is allocated. The dims are compared in place, so
+// the recycled path allocates nothing, and into is untouched on error.
+func decodeTensor(buf []byte, into *tensor.Tensor) (*tensor.Tensor, error) {
 	if len(buf) < 4 {
 		return nil, errors.New("tensor payload too short")
 	}
-	rank := int(binary.LittleEndian.Uint32(buf))
-	off := 4
-	if len(buf) < off+4*rank {
+	off := 4 + 4*int(binary.LittleEndian.Uint32(buf))
+	if len(buf) < off {
 		return nil, errors.New("tensor payload truncated shape")
 	}
-	shape := make([]int, rank)
+	dims := buf[4:off]
 	n := 1
-	for i := range shape {
-		shape[i] = int(binary.LittleEndian.Uint32(buf[off:]))
-		if shape[i] == 0 {
+	for i := 0; i < len(dims); i += 4 {
+		if binary.LittleEndian.Uint32(dims[i:]) == 0 {
 			n = 0
 		}
-		off += 4
 	}
 	// The dims are sender-chosen: bound the running product by the elements
 	// the remaining bytes can hold, so it can neither wrap past the length
 	// check below nor go negative.
 	if n != 0 {
 		limit := (len(buf) - off) / 4
-		for _, d := range shape {
+		for i := 0; i < len(dims); i += 4 {
+			d := int(binary.LittleEndian.Uint32(dims[i:]))
 			if n > limit/d {
-				return nil, fmt.Errorf("tensor shape %v exceeds a %d-byte payload", shape, len(buf))
+				return nil, fmt.Errorf("tensor shape %v exceeds a %d-byte payload", parseShape(dims), len(buf))
 			}
 			n *= d
 		}
 	}
 	if len(buf) != off+4*n {
-		return nil, fmt.Errorf("tensor payload length %d does not match shape %v", len(buf), shape)
+		return nil, fmt.Errorf("tensor payload length %d does not match shape %v", len(buf), parseShape(dims))
 	}
-	data := make([]float32, n)
+	t := into
+	if t == nil || !hasDims(t, dims) {
+		t = tensor.New(parseShape(dims)...)
+	}
+	data := t.Data()
 	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
+		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off+4*i:]))
 	}
-	return tensor.FromSlice(data, shape...), nil
+	return t, nil
+}
+
+// hasDims reports whether t's shape is the encoded dims.
+func hasDims(t *tensor.Tensor, dims []byte) bool {
+	if t.Rank() != len(dims)/4 {
+		return false
+	}
+	for i, d := range t.Shape() {
+		if d != int(binary.LittleEndian.Uint32(dims[4*i:])) {
+			return false
+		}
+	}
+	return true
+}
+
+// parseShape reads the encoded dims into a fresh shape slice.
+func parseShape(dims []byte) []int {
+	shape := make([]int, len(dims)/4)
+	for i := range shape {
+		shape[i] = int(binary.LittleEndian.Uint32(dims[4*i:]))
+	}
+	return shape
 }

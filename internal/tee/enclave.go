@@ -6,6 +6,7 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,6 +52,10 @@ type Enclave struct {
 	objects map[string]*tensor.Tensor
 	token   Token
 	channel *secureChannel
+	// spares are flushed objects kept for Store to decode into; live plus
+	// spare bytes never exceed limit.
+	spares     []*tensor.Tensor
+	spareBytes int64
 
 	metrics Metrics
 	// latency model: fixed cost per world switch plus per-byte transfer
@@ -117,7 +122,8 @@ func (e *Enclave) accountTransfer(n int64, in bool) {
 // Store moves a tensor into the enclave. The payload crosses the world
 // boundary through the AES-GCM secure channel (the encryption genuinely
 // happens, so the §VI overhead benches measure real work). The enclave
-// keeps its own copy; the caller should scrub normal-world references.
+// keeps its own copy, decoded into a spare of t's shape when it has one;
+// the caller should scrub normal-world references.
 func (e *Enclave) Store(key string, t *tensor.Tensor) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -128,16 +134,18 @@ func (e *Enclave) Store(key string, t *tensor.Tensor) error {
 	if e.used+n > e.limit {
 		return fmt.Errorf("%w: storing %q (%d B) would exceed %d B", ErrEnclaveFull, key, n, e.limit)
 	}
-	// Encrypt in the normal world, decrypt inside the enclave.
-	ct, err := e.channel.seal(encodeTensor(t))
+	// Encrypt in the normal world, decrypt inside the enclave, both in
+	// place in the channel's wire buffer.
+	c := e.channel
+	msg, err := c.seal(appendTensor(c.message(), t))
 	if err != nil {
 		return fmt.Errorf("tee: sealing %q: %w", key, err)
 	}
-	pt, err := e.channel.open(ct)
+	pt, err := c.open(msg)
 	if err != nil {
 		return fmt.Errorf("tee: opening %q inside enclave: %w", key, err)
 	}
-	stored, err := decodeTensor(pt)
+	stored, err := decodeTensor(pt, e.spare(t))
 	if err != nil {
 		return fmt.Errorf("tee: decoding %q inside enclave: %w", key, err)
 	}
@@ -186,7 +194,12 @@ func (e *Enclave) Accumulate(tok Token, key string, src *tensor.Tensor) error {
 	if e.used+n > e.limit {
 		return fmt.Errorf("%w: accumulating %q (%d B) would exceed %d B", ErrEnclaveFull, key, n, e.limit)
 	}
-	e.objects[key] = src.Clone()
+	stored := e.spare(src)
+	if stored == nil {
+		stored = tensor.New(src.Shape()...)
+	}
+	stored.CopyFrom(src)
+	e.objects[key] = stored
 	e.used += n
 	e.metrics.ObjectsStored++
 	e.metrics.BytesStored += n
@@ -215,19 +228,51 @@ func (e *Enclave) Flush(tok Token, key string) error {
 	}
 	e.used -= t.Bytes()
 	delete(e.objects, key)
+	// t was live until now, so live plus spare bytes stay within the limit.
+	e.spares = append(e.spares, t)
+	e.spareBytes += t.Bytes()
 	return nil
 }
 
-// FlushAll removes every object.
+// FlushAll removes every object. The objects it removes become the spare
+// set, replacing any spares left from before.
 func (e *Enclave) FlushAll(tok Token) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if subtle.ConstantTimeCompare(tok.secret[:], e.token.secret[:]) != 1 {
 		return ErrUnauthorized
 	}
-	e.objects = make(map[string]*tensor.Tensor)
-	e.used = 0
+	e.dropSpares()
+	//pelta:allow maporder spares are matched by shape and fully overwritten, so their order is never observed
+	for _, t := range e.objects {
+		e.spares = append(e.spares, t)
+	}
+	e.spareBytes, e.used = e.used, 0
+	clear(e.objects)
 	return nil
+}
+
+// spare removes and returns a spare shaped like t. When there is none it
+// returns nil for the caller to allocate, first dropping the spares if live
+// plus spare bytes would otherwise pass the limit.
+func (e *Enclave) spare(t *tensor.Tensor) *tensor.Tensor {
+	for i, s := range e.spares {
+		if s.SameShape(t) {
+			e.spares = slices.Delete(e.spares, i, i+1)
+			e.spareBytes -= s.Bytes()
+			return s
+		}
+	}
+	if e.used+t.Bytes()+e.spareBytes > e.limit {
+		e.dropSpares()
+	}
+	return nil
+}
+
+func (e *Enclave) dropSpares() {
+	clear(e.spares)
+	e.spares = e.spares[:0]
+	e.spareBytes = 0
 }
 
 // Metrics returns a snapshot of the §VI accounting.

@@ -2,6 +2,7 @@ package tee
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"pelta/internal/tensor"
@@ -137,19 +138,73 @@ func TestSecureChannelTamperDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ch.seal([]byte("gradient payload"))
+	ns := ch.aead.NonceSize()
+	payload := []byte("gradient payload")
+	for _, tc := range []struct {
+		name string
+		at   func(ct []byte) int
+	}{
+		{"ciphertext byte", func([]byte) int { return ns }},
+		{"nonce byte", func([]byte) int { return ns - 1 }},
+		{"tag byte", func(ct []byte) int { return len(ct) - 1 }},
+	} {
+		ct, err := ch.seal(append(ch.message(), payload...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct[tc.at(ct)] ^= 0xFF
+		if _, err := ch.open(ct); err == nil {
+			t.Fatalf("tampered %s must not decrypt", tc.name)
+		}
+	}
+}
+
+// TestSecureChannelCounterNonces pins the nonce scheme: every seal on a
+// channel uses a fresh nonce, and a channel whose counter is exhausted
+// refuses to seal instead of wrapping.
+func TestSecureChannelCounterNonces(t *testing.T) {
+	ch, err := newSecureChannel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct[len(ct)-1] ^= 0xFF
-	if _, err := ch.open(ct); err == nil {
-		t.Fatal("tampered ciphertext must not decrypt")
+	ns := ch.aead.NonceSize()
+	seen := make(map[string]bool)
+	for range 10000 {
+		ct, err := ch.seal(append(ch.message(), 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[string(ct[:ns])] = true
+	}
+	if len(seen) != 10000 {
+		t.Fatalf("10000 seals used %d distinct nonces", len(seen))
+	}
+	ch.counter = math.MaxUint64
+	if _, err := ch.seal(append(ch.message(), 7)); !errors.Is(err, errNonceExhausted) {
+		t.Fatalf("seal with an exhausted counter: got %v", err)
+	}
+}
+
+// TestEnclaveStoreNonceExhausted checks that a Store refused by an exhausted
+// channel leaves the enclave as it was.
+func TestEnclaveStoreNonceExhausted(t *testing.T) {
+	e, _ := newTestEnclave(t, 1<<20)
+	if err := e.Store("a", tensor.Ones(4)); err != nil {
+		t.Fatal(err)
+	}
+	used, m := e.Used(), e.Metrics()
+	e.channel.counter = math.MaxUint64
+	if err := e.Store("b", tensor.Ones(4)); !errors.Is(err, errNonceExhausted) {
+		t.Fatalf("Store with an exhausted channel: got %v", err)
+	}
+	if e.Used() != used || e.Metrics() != m || e.Has("b") || !e.Has("a") {
+		t.Fatalf("failed Store changed the enclave: used %d→%d, metrics %+v→%+v", used, e.Used(), m, e.Metrics())
 	}
 }
 
 func TestTensorCodecRoundTrip(t *testing.T) {
 	x := tensor.NewRNG(2).Normal(0, 3, 2, 3, 4)
-	got, err := decodeTensor(encodeTensor(x))
+	got, err := decodeTensor(appendTensor(nil, x), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +214,10 @@ func TestTensorCodecRoundTrip(t *testing.T) {
 }
 
 func TestTensorCodecRejectsGarbage(t *testing.T) {
-	if _, err := decodeTensor([]byte{1, 2}); err == nil {
+	if _, err := decodeTensor([]byte{1, 2}, nil); err == nil {
 		t.Fatal("short payload must fail")
 	}
-	if _, err := decodeTensor(make([]byte, 64)); err == nil {
+	if _, err := decodeTensor(make([]byte, 64), nil); err == nil {
 		// rank 0 with 60 trailing bytes is inconsistent
 		t.Fatal("inconsistent payload must fail")
 	}
