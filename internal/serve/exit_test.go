@@ -256,47 +256,79 @@ func (r *panickyReplica) Logits(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return r.stubReplica.Logits(x)
 }
 
+// kernelPanicReplica is a stubReplica whose first batch runs a real kernel
+// on malformed operands: Conv2dBackwardInto with an upstream gradient one
+// sample long for a batch of 16. Every chunk past sample 0 slices beyond
+// its end; at 8 kernel workers those chunks mostly run on pool helpers
+// while the replica's own goroutine works through sample 0.
+type kernelPanicReplica struct {
+	*stubReplica
+	calls atomic.Int32
+}
+
+func (r *kernelPanicReplica) Logits(x *tensor.Tensor) (*tensor.Tensor, error) {
+	if r.calls.Add(1) == 1 {
+		in, w := tensor.New(16, 8, 32, 32), tensor.New(8, 8, 3, 3)
+		gx, gy := tensor.New(in.Shape()...), tensor.New(1, 8, 32, 32)
+		tensor.Conv2dBackwardInto(nil, gx, nil, nil, in, w, gy, 1, 1)
+	}
+	return r.stubReplica.Logits(x)
+}
+
 // TestReplicaPanicContained: a panic under Replica.Logits costs its batch,
-// not the process. The lines of that batch leave with the error outcome
-// (counted, traced, the panic value in the error), the worker survives and
-// serves the next batch on the same replica, and the books balance at rest.
+// not the process — also when a kernel raises it on a pool helper
+// goroutine, where it reaches the replica's call through parallelFor. The
+// lines of that batch leave with the error outcome (counted, traced, the
+// panic value in the error), the worker survives and serves the next batch
+// on the same replica, and the books balance at rest.
 func TestReplicaPanicContained(t *testing.T) {
-	pool, err := NewReplicaPool(1, func(int) (Replica, error) {
-		return &panickyReplica{stubReplica: newStubReplica()}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewService(pool, Config{MaxBatch: 1, Trace: &TraceConfig{Sample: 0}})
+	restore := tensor.SetKernelWorkers(8)
+	defer tensor.SetKernelWorkers(restore)
+	for _, tc := range []struct {
+		name string
+		rep  Replica
+		msg  string
+	}{
+		{"panic under Logits", &panickyReplica{stubReplica: newStubReplica()}, "shape mismatch"},
+		{"panic in a kernel chunk", &kernelPanicReplica{stubReplica: newStubReplica()}, "out of range"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool, err := NewReplicaPool(1, func(int) (Replica, error) { return tc.rep, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewService(pool, Config{MaxBatch: 1, Trace: &TraceConfig{Sample: 0}})
 
-	_, err = s.Submit("t", sample(1), time.Time{})
-	if err == nil || !strings.Contains(err.Error(), "replica failed") || !strings.Contains(err.Error(), "shape mismatch") {
-		t.Fatalf("first submit: err %v, want a replica failure carrying the panic value", err)
-	}
-	if errors.Is(err, ErrOverloaded) {
-		t.Fatalf("panic reported as overload: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := s.Submit("t", sample(1), time.Time{}); err != nil {
-			t.Fatalf("submit %d after the panic: %v", i, err)
-		}
-	}
-	s.Close()
+			_, err = s.Submit("t", sample(1), time.Time{})
+			if err == nil || !strings.Contains(err.Error(), "replica failed") || !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("first submit: err %v, want a replica failure carrying the panic value", err)
+			}
+			if errors.Is(err, ErrOverloaded) {
+				t.Fatalf("panic reported as overload: %v", err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := s.Submit("t", sample(1), time.Time{}); err != nil {
+					t.Fatalf("submit %d after the panic: %v", i, err)
+				}
+			}
+			s.Close()
 
-	snap := s.Metrics().Snapshot()
-	if len(snap.Routes) != 1 {
-		t.Fatalf("routes %+v, want only t", snap.Routes)
-	}
-	r := snap.Routes[0]
-	if r.Errors != 1 || r.Served != 3 || r.Shed != 0 || r.Rejected != 0 {
-		t.Errorf("route %+v, want 1 error and 3 served", r)
-	}
-	if r.Requests != r.Served+r.Shed+r.Rejected+r.Errors || r.Offered != r.Requests {
-		t.Errorf("route %+v: offered, requests and the outcome sum disagree at rest", r)
-	}
-	recs := s.Tracer().Records()
-	if len(recs) != 1 || recs[0].Outcome != obs.OutcomeError {
-		t.Errorf("spans %+v, want one with outcome %q", recs, obs.OutcomeError)
+			snap := s.Metrics().Snapshot()
+			if len(snap.Routes) != 1 {
+				t.Fatalf("routes %+v, want only t", snap.Routes)
+			}
+			r := snap.Routes[0]
+			if r.Errors != 1 || r.Served != 3 || r.Shed != 0 || r.Rejected != 0 {
+				t.Errorf("route %+v, want 1 error and 3 served", r)
+			}
+			if r.Requests != r.Served+r.Shed+r.Rejected+r.Errors || r.Offered != r.Requests {
+				t.Errorf("route %+v: offered, requests and the outcome sum disagree at rest", r)
+			}
+			recs := s.Tracer().Records()
+			if len(recs) != 1 || recs[0].Outcome != obs.OutcomeError {
+				t.Errorf("spans %+v, want one with outcome %q", recs, obs.OutcomeError)
+			}
+		})
 	}
 }
 

@@ -50,18 +50,22 @@ func TestInferenceIdentityClearReplica(t *testing.T) {
 
 // TestInferenceAllocPins pins what one served batch allocates below the
 // scheduler, on the benchmark's ViT (bench/fixture.go: SmallViT, 10 classes,
-// 16×16 input, patch 4) at one kernel worker. The taped pass this replaced
-// allocated a backward closure, two or three shape slices and a parents
-// slice per op: measured the same way at the parent commit the counts were
-// 577 for a shielded batch-1 query and 398 / 482 for a clear batch of 1 / 8
-// (5 / 5 now). The enclave crossing itself no longer allocates: tee seals
-// and opens in place in a reused wire buffer and decodes into recycled
-// objects, and core.Protect builds keys in a reused buffer (122 → 37 per
-// shielded pass). Of the 37 left, 16 are pool misses for the shielded
-// buffers, which Release never recycles on purpose; 8 are the key strings,
-// shared by the enclave map and ShieldReport.Keys; 4 are kernel dispatch
-// in the attention op; the rest are the logits copy-out, the QueryResult,
-// the report and its Keys slice, and VerifyScrubbed's walk.
+// 16×16 input, patch 4), at one kernel worker and at two. The taped pass
+// this replaced allocated a backward closure, two or three shape slices and
+// a parents slice per op: measured the same way at the parent commit the
+// counts were 577 for a shielded batch-1 query and 398 / 482 for a clear
+// batch of 1 / 8 (5 / 5 now). The enclave crossing itself no longer
+// allocates: tee seals and opens in place in a reused wire buffer and
+// decodes into recycled objects, and core.Protect builds keys in a reused
+// buffer (122 → 37 per shielded pass). Of the 37 left, 16 are pool misses
+// for the shielded buffers, which Release never recycles on purpose; 8 are
+// the key strings, shared by the enclave map and ShieldReport.Keys; 4 are
+// the body closures of the attention op's kernel calls; the rest are the
+// logits copy-out, the QueryResult, the report and its Keys slice, and
+// VerifyScrubbed's walk. At two workers a parallel kernel call adds only
+// its body closure: the dispatch record is recycled, where the cursor,
+// WaitGroup and helper closures used to cost four more per call (shielded
+// batch 1 76 → 45, clear batch 8 145 → 29).
 func TestInferenceAllocPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -79,16 +83,20 @@ func TestInferenceAllocPins(t *testing.T) {
 	shielded := &ShieldedReplica{SM: sm}
 	clear := NewClearReplica(m)
 	pins := []struct {
-		name string
-		rep  Replica
-		x    *tensor.Tensor
-		max  float64
+		name    string
+		workers int
+		rep     Replica
+		x       *tensor.Tensor
+		max     float64
 	}{
-		{"shielded batch 1", shielded, x1, 41},
-		{"clear batch 1", clear, x1, 20},
-		{"clear batch 8", clear, x8, 20},
+		{"shielded batch 1", 1, shielded, x1, 41},
+		{"clear batch 1", 1, clear, x1, 20},
+		{"clear batch 8", 1, clear, x8, 20},
+		{"shielded batch 1, 2 workers", 2, shielded, x1, 50},
+		{"clear batch 8, 2 workers", 2, clear, x8, 32},
 	}
 	for _, p := range pins {
+		tensor.SetKernelWorkers(p.workers)
 		run := func() {
 			if _, err := p.rep.Logits(p.x); err != nil {
 				t.Fatal(err)

@@ -652,8 +652,11 @@ func (s *Service) worker(rep Replica, h *workerHandle) {
 // and bounds checks of tensor, autograd, nn and models all sit below this
 // call — into the error the worker already handles: a fault costs its batch
 // the answers (every line leaves with the error outcome), not the process
-// its life. The replica is used again: its next pass starts with
-// Release/FlushAll, which rebuild arena and enclave state.
+// its life. A kernel panic raised on a pool helper goroutine reaches this
+// recover too: tensor's parallel dispatch re-raises it on the calling
+// goroutine once every chunk of the kernel has stopped, so no helper still
+// writes into the arena when the replica is used again. Its next pass
+// starts with Release/FlushAll, which rebuild arena and enclave state.
 func safeLogits(rep Replica, x *tensor.Tensor) (logits *tensor.Tensor, err error) {
 	defer func() {
 		if p := recover(); p != nil {

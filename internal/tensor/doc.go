@@ -30,11 +30,14 @@
 // shared worker pool of persistent goroutines sized to GOMAXPROCS. Work
 // below parallelThreshold (~64k multiply-adds) runs inline — the model-zoo
 // shapes used in -short tests sit below it on purpose. The pool uses
-// caller-runs scheduling: helpers are offered to the pool non-blocking and
-// the calling goroutine always executes chunks itself, so kernels invoked
-// from inside another parallel region (or from the attack-layer
-// ParallelOracle workers) degrade to inline execution instead of
-// oversubscribing or deadlocking.
+// caller-runs scheduling: one recycled dispatch record per call is offered
+// to the pool non-blocking and the calling goroutine always executes chunks
+// itself, so kernels invoked from inside another parallel region (or from
+// the attack-layer ParallelOracle workers) degrade to inline execution
+// instead of oversubscribing or deadlocking. Dispatch allocates nothing
+// beyond the caller's body closure. A kernel panic in any chunk, on a
+// helper or on the caller, is re-raised to the caller with its original
+// value once every chunk has stopped.
 //
 // PELTA_KERNEL_WORKERS overrides the worker count at process start
 // (0 = GOMAXPROCS); SetKernelWorkers does the same at runtime. Setting 1

@@ -112,7 +112,7 @@ func transAOuter(out, a, b []float32, m, k, n int) {
 		transARows(out, a, b, 0, m, m, k, n)
 		return
 	}
-	parallelRows(m, m*k*n, func(r0, r1 int) {
+	parallelFor(m, m*k*n, func(r0, r1 int) {
 		transARows(out, a, b, r0, r1, m, k, n)
 	})
 }
@@ -253,7 +253,7 @@ func matMulInto(out, a, b []float32, m, k, n int) {
 		matMulRowsBlocked(out, a, b, 0, m, k, n)
 		return
 	}
-	parallelRows(m, work, func(r0, r1 int) {
+	parallelFor(m, work, func(r0, r1 int) {
 		matMulRowsBlocked(out, a, b, r0, r1, k, n)
 	})
 }
@@ -395,7 +395,7 @@ func matMulTransB(out, a, b []float32, m, k, n int) {
 		dotRows(out, a, b, m, k, n)
 		return
 	}
-	parallelRows(m, m*k*n, func(r0, r1 int) {
+	parallelFor(m, m*k*n, func(r0, r1 int) {
 		dotRows(out[r0*n:r1*n], a[r0*k:r1*k], b, r1-r0, k, n)
 	})
 }

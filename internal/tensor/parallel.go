@@ -13,10 +13,12 @@ import (
 // kernel (tiled matmul, batched convolution, fused attention) dispatches
 // through, instead of spawning ad-hoc goroutines per call.
 //
-// Scheduling is caller-runs: parallelFor shards [0,n) into chunks behind an
-// atomic cursor, offers the pool a bounded number of helper tasks without
-// blocking, and then executes chunks itself until none remain. Two
-// properties follow:
+// Scheduling is caller-runs: parallelFor describes the call in one dispatch
+// record (body, chunking, an atomic cursor, the chunks still running),
+// offers that record to the pool a bounded number of times without
+// blocking, and then executes chunks itself until none remain. Records are
+// recycled, so a dispatch allocates nothing of its own. Three properties
+// follow:
 //
 //   - Nesting guard. A kernel running inside another parallel region (a
 //     matmul inside a batch-parallel convolution, or inside an
@@ -34,6 +36,13 @@ import (
 //     bit-identical to their single-threaded runs as long as chunk writes
 //     are disjoint and cross-chunk reductions are performed serially in a
 //     fixed order (see Conv2dBackwardInto).
+//
+//   - Panics reach the caller after every chunk has stopped. A chunk that
+//     panics, on a helper or on the caller, parks the first panic value in
+//     the record and counts itself finished; the caller re-panics with that
+//     value once all chunks are done. A pool worker never dies of a kernel
+//     panic, and no helper is still writing when the caller's recovery
+//     (serve's safeLogits, for one) runs.
 //
 // The single-threaded path is taken whenever the sharded work is below
 // parallelThreshold, the effective worker count is 1 (GOMAXPROCS(0)==1 or
@@ -78,7 +87,7 @@ func SetKernelWorkers(n int) int {
 // block on the task channel when idle and cost nothing; the pool is started
 // lazily on the first parallel dispatch.
 type workerPool struct {
-	tasks chan func()
+	tasks chan *dispatch
 	size  int
 }
 
@@ -98,11 +107,12 @@ func kernelPool() *workerPool {
 		if size < minPoolWorkers {
 			size = minPoolWorkers
 		}
-		p := &workerPool{tasks: make(chan func(), size), size: size}
+		p := &workerPool{tasks: make(chan *dispatch, size), size: size}
 		for i := 0; i < size; i++ {
 			go func() {
-				for f := range p.tasks {
-					f()
+				for d := range p.tasks {
+					d.runChunks()
+					d.release()
 				}
 			}()
 		}
@@ -121,10 +131,63 @@ func shouldParallel(n, work int) bool {
 	return work >= parallelThreshold && n >= 2 && KernelWorkers() > 1
 }
 
+// dispatch is one parallel region: the body, its chunking, the cursor that
+// hands out chunks, the count of chunks still running and the first panic
+// a chunk raised. The caller and every helper it offered hold a reference;
+// whoever drops the last one returns the record to dispatchRecords, so a
+// helper dequeued after the caller has returned still finds its own region
+// (with the cursor exhausted) and never a reused one.
+type dispatch struct {
+	body       func(lo, hi int)
+	n, nchunks int
+	next       atomic.Int64
+	chunks     sync.WaitGroup
+	refs       atomic.Int32
+	panicked   atomic.Bool
+	panicVal   any
+}
+
+var dispatchRecords = sync.Pool{New: func() any { return new(dispatch) }}
+
+// runChunks claims and runs chunks until the cursor is exhausted.
+func (d *dispatch) runChunks() {
+	for {
+		i := int(d.next.Add(1)) - 1
+		if i >= d.nchunks {
+			return
+		}
+		d.runChunk(i)
+	}
+}
+
+// runChunk runs chunk i and marks it finished however body leaves: a panic
+// is parked for the caller (the first one wins) instead of unwinding the
+// goroutine, which on a pool worker would end the process.
+func (d *dispatch) runChunk(i int) {
+	defer func() {
+		if p := recover(); p != nil && d.panicked.CompareAndSwap(false, true) {
+			d.panicVal = p
+		}
+		d.chunks.Done()
+	}()
+	d.body(i*d.n/d.nchunks, (i+1)*d.n/d.nchunks)
+}
+
+// release drops one reference; the last holder recycles the record.
+func (d *dispatch) release() {
+	if d.refs.Add(-1) == 0 {
+		d.body, d.panicVal = nil, nil
+		d.panicked.Store(false)
+		dispatchRecords.Put(d)
+	}
+}
+
 // parallelFor shards [0,n) into chunks and runs body on each chunk, using
 // the shared worker pool when the work is large enough and the serial
 // inline path otherwise. body(lo, hi) must write only state owned by
-// [lo,hi); results are then bit-identical for every worker count.
+// [lo,hi); results are then bit-identical for every worker count. A panic
+// in any chunk is re-raised here, with its original value, once every
+// chunk has stopped.
 func parallelFor(n, work int, body func(lo, hi int)) {
 	w := KernelWorkers()
 	if w <= 1 || n < 2 || work < parallelThreshold {
@@ -141,43 +204,38 @@ func parallelFor(n, work int, body func(lo, hi int)) {
 	if nchunks > n {
 		nchunks = n
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(nchunks)
-	run := func() bool {
-		i := int(next.Add(1)) - 1
-		if i >= nchunks {
-			return false
-		}
-		body(i*n/nchunks, (i+1)*n/nchunks)
-		wg.Done()
-		return true
-	}
-	helper := func() {
-		for run() {
-		}
-	}
-	// Offer helpers without blocking: a full channel means every worker is
-	// busy (typically because this call is nested inside another parallel
-	// region), and the caller simply runs its chunks inline.
 	helpers := w - 1
 	if helpers > nchunks-1 {
 		helpers = nchunks - 1
 	}
+	d := dispatchRecords.Get().(*dispatch)
+	d.body, d.n, d.nchunks = body, n, nchunks
+	d.next.Store(0)
+	d.chunks.Add(nchunks)
+	// One reference for the caller and one per helper about to be offered;
+	// the caller's own keeps the count above zero while offers that did
+	// not land are handed back.
+	d.refs.Store(int32(1 + helpers))
+	// Offer helpers without blocking: a full channel means every worker is
+	// busy (typically because this call is nested inside another parallel
+	// region), and the caller simply runs its chunks inline.
 offer:
 	for h := 0; h < helpers; h++ {
 		select {
-		case pool.tasks <- helper:
+		case pool.tasks <- d:
 		default:
+			d.refs.Add(int32(h - helpers))
 			break offer
 		}
 	}
-	helper()
-	wg.Wait()
-}
-
-// parallelRows shards [0,m) row ranges of a kernel whose total work is
-// `work` multiply-adds across the worker pool.
-func parallelRows(m, work int, body func(r0, r1 int)) {
-	parallelFor(m, work, body)
+	d.runChunks()
+	// Wait for chunks, never for helpers: one still queued behind a busy
+	// worker finds the cursor exhausted whenever it runs, and waiting on it
+	// would deadlock nested regions.
+	d.chunks.Wait()
+	panicked, p := d.panicked.Load(), d.panicVal
+	d.release()
+	if panicked {
+		panic(p)
+	}
 }

@@ -2,8 +2,13 @@ package tensor
 
 import (
 	"math"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withWorkers runs f with the kernel worker override pinned to n, restoring
@@ -286,5 +291,235 @@ func TestWorkerPoolConcurrentCallers(t *testing.T) {
 		for e := range errs {
 			t.Fatal(e)
 		}
+	})
+}
+
+// goid returns the calling goroutine's id, parsed from the "goroutine N"
+// header of its stack trace; the panic tests use it to tell the caller of
+// parallelFor from a pool helper.
+func goid() uint64 {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	id, err := strconv.ParseUint(f[1], 10, 64)
+	if err != nil {
+		panic("goid: unexpected stack header " + f[0] + " " + f[1])
+	}
+	return id
+}
+
+// catchPanic runs f and returns the value it panicked with, or nil.
+func catchPanic(f func()) (p any) {
+	defer func() { p = recover() }()
+	f()
+	return nil
+}
+
+// checkMatMulServes runs the tiled matmul at the current worker count and
+// fails t unless it matches the single-threaded bits — the pool still
+// serves after whatever the test did to it.
+func checkMatMulServes(t *testing.T) {
+	t.Helper()
+	rng := NewRNG(707)
+	a := rng.Uniform(-1, 1, 67, 193)
+	b := rng.Uniform(-1, 1, 193, 301)
+	got := matMul(a, b)
+	var want *Tensor
+	withWorkers(1, func() { want = matMul(a, b) })
+	if !bitEqual(got.Data(), want.Data()) {
+		t.Fatalf("workers=%d: matmul bits diverge after a panicking dispatch", KernelWorkers())
+	}
+}
+
+// TestParallelForPanicReachesCaller: a panic in chunk k — the first, a
+// middle or the last — raised on the calling goroutine or on a pool helper
+// reaches the caller of parallelFor with its original value, and the pool
+// keeps serving bit-exact kernels afterwards. At one worker there is one
+// chunk and no helper. Which goroutine claims a chunk is up to the
+// scheduler, so each row repeats the dispatch until its chunk ran on the
+// wanted side, slowing the other side's chunks to tilt the odds; the
+// helper never gets chunk 0, which the caller claims right after offering.
+func TestParallelForPanicReachesCaller(t *testing.T) {
+	type boom struct {
+		workers, chunk int
+		onHelper       bool
+	}
+	const n = 64
+	for _, workers := range []int{1, 2, 8} {
+		nchunks := 2 * workers // the pool has at least minPoolWorkers helpers
+		if workers == 1 {
+			nchunks = 1
+		}
+		rows := []boom{{workers, 0, false}}
+		if workers > 1 {
+			mid, last := nchunks/2, nchunks-1
+			rows = append(rows, boom{workers, mid, false}, boom{workers, last, false},
+				boom{workers, mid, true}, boom{workers, last, true})
+		}
+		withWorkers(workers, func() {
+			for _, want := range rows {
+				raised := false
+				for attempt := 0; attempt < 500 && !raised; attempt++ {
+					caller := goid()
+					var hit atomic.Bool
+					got := catchPanic(func() {
+						parallelFor(n, 1<<20, func(lo, hi int) {
+							onHelper := goid() != caller
+							if onHelper == want.onHelper && lo*nchunks/n == want.chunk {
+								hit.Store(true)
+								panic(want)
+							}
+							if onHelper != want.onHelper {
+								time.Sleep(50 * time.Microsecond)
+							}
+						})
+					})
+					raised = hit.Load()
+					if raised && got != want {
+						t.Fatalf("%+v: caller recovered %v, want the original value", want, got)
+					}
+					if !raised && got != nil {
+						t.Fatalf("%+v: caller recovered %v from a dispatch that raised nothing", want, got)
+					}
+				}
+				if !raised {
+					t.Fatalf("%+v: the chunk never ran on the wanted goroutine in 500 dispatches", want)
+				}
+			}
+			checkMatMulServes(t)
+		})
+	}
+}
+
+// TestParallelForCallerPanicWaitsForChunks: when the caller's own chunk
+// panics, the panic leaves parallelFor only after every other chunk has
+// stopped. A helper still inside its chunk would otherwise keep writing
+// into buffers that the caller's recovery path reuses (a served batch's
+// arena). The caller's chunk panics only once the helper's has started.
+func TestParallelForCallerPanicWaitsForChunks(t *testing.T) {
+	withWorkers(2, func() {
+		for attempt, raised := 0, false; !raised; attempt++ {
+			if attempt == 100 {
+				t.Fatal("the sibling chunk never ran on a helper in 100 dispatches")
+			}
+			caller := goid()
+			var siblingDone atomic.Bool
+			started := make(chan struct{}, 2)
+			got := catchPanic(func() {
+				parallelFor(2, 1<<20, func(lo, hi int) {
+					if goid() != caller {
+						started <- struct{}{}
+						time.Sleep(20 * time.Millisecond)
+						siblingDone.Store(true)
+						return
+					}
+					select {
+					case <-started:
+						raised = true
+						panic("caller chunk")
+					case <-time.After(50 * time.Millisecond):
+					}
+				})
+			})
+			if raised && got != "caller chunk" {
+				t.Fatalf("caller recovered %v, want its own chunk's panic", got)
+			}
+			if raised && !siblingDone.Load() {
+				t.Fatal("the caller's panic surfaced while a helper was still inside its chunk")
+			}
+		}
+		checkMatMulServes(t)
+	})
+}
+
+// TestParallelForAllocs pins the dispatch itself at zero allocations: the
+// dispatch record comes from a free list and carries the cursor, the chunk
+// count and the parked panic, so only a caller's body closure (built once
+// here) can allocate.
+func TestParallelForAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	out := make([]float32, 256)
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = float32(i)
+		}
+	}
+	for _, workers := range []int{2, 8} {
+		withWorkers(workers, func() {
+			dispatch := func() { parallelFor(len(out), 1<<20, body) }
+			dispatch() // start the pool
+			if got := testing.AllocsPerRun(200, dispatch); got != 0 {
+				t.Errorf("workers=%d: %.1f allocs per parallelFor, want 0", workers, got)
+			}
+		})
+	}
+}
+
+// TestWorkerPoolRecyclesUnderNestingAndPanics drives the free list of
+// dispatch records hard: concurrent callers whose outer chunks each run a
+// nested parallelFor, with one outer region in three panicking in a single
+// inner chunk. The workers are saturated, so helpers are routinely dequeued
+// after their caller has returned; each must find its own exhausted region
+// and never a record already handed to another caller. Every caller checks
+// that it gets back exactly its own panic value, and otherwise a fully
+// written result. Under -race this is the probe for the reference count
+// that decides who recycles a record.
+func TestWorkerPoolRecyclesUnderNestingAndPanics(t *testing.T) {
+	type boom struct{ caller, iter int }
+	const callers, iters, outer, inner = 6, 150, 16, 8
+	withWorkers(8, func() {
+		errs := make(chan string, callers)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				out := make([]int, outer*inner)
+				for it := 0; it < iters; it++ {
+					clear(out)
+					want := boom{c, it}
+					panicking := it%3 == c%3
+					got := catchPanic(func() {
+						parallelFor(outer, 1<<20, func(lo, hi int) {
+							for o := lo; o < hi; o++ {
+								row := out[o*inner : (o+1)*inner]
+								parallelFor(inner, 1<<20, func(l, h int) {
+									for i := l; i < h; i++ {
+										if panicking && o == it%outer && i == it%inner {
+											panic(want)
+										}
+										row[i] = o*inner + i + it
+									}
+								})
+							}
+						})
+					})
+					if panicking {
+						if got != want {
+							errs <- "a caller recovered the wrong panic value"
+							return
+						}
+						continue
+					}
+					if got != nil {
+						errs <- "a caller recovered a panic it never raised"
+						return
+					}
+					for j, v := range out {
+						if v != j+it {
+							errs <- "a nested region left its result unwritten"
+							return
+						}
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatal(e)
+		}
+		checkMatMulServes(t)
 	})
 }
