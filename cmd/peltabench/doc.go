@@ -9,8 +9,8 @@
 //
 // Quick scale (default) trains scaled-down defenders on 16×16 synthetic
 // data in about a minute per dataset block; -hw/-trainn/-epochs/-n scale
-// the experiment up toward the paper's protocol (1000 samples). The attack
-// oracles fan out over one worker per core; results do not depend on the
-// count. The command prints tables only — timings and their comparison
+// the experiment up toward the paper's protocol (1000 samples). Each attack
+// batch goes through one oracle whose kernels spread over the worker pool
+// (PELTA_KERNEL_WORKERS); results do not depend on the worker count. The command prints tables only — timings and their comparison
 // across commits belong to the bench/ module (go run -C bench .).
 package main

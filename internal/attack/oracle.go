@@ -15,7 +15,8 @@ import (
 //
 // Tensors returned by Logits, GradCE and GradCW belong to the oracle and
 // are overwritten by its next query (of any kind). Implementations need not
-// be safe for concurrent use; fan a batch out with ParallelOracle instead.
+// be safe for concurrent use: query one oracle with the whole batch and let
+// the kernel pool spread it across cores.
 type Oracle interface {
 	// Name identifies the defender.
 	Name() string

@@ -8,9 +8,9 @@
 // complete the back-propagation chain rule to the input (Eq. 1).
 //
 // A ShieldedModel owns one enclave and one pooled graph arena and serves
-// queries sequentially; concurrent attackers each build their own (or fan
-// out through attack.ParallelOracle). Query results are deterministic —
-// shielding changes what is visible, never the numbers computed.
+// queries sequentially; concurrent attackers each build their own. Query
+// results are deterministic — shielding changes what is visible, never the
+// numbers computed.
 //
 // A forward-only pass (Query with a nil loss, Predict — what a deployed
 // defender serves) runs in autograd's inference mode: no backward closure

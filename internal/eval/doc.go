@@ -30,7 +30,7 @@
 // span, served spans missing lifecycle offsets all fail);
 // SummarizeRoundSpans renders FL round-phase spans as the
 // train/transport/aggregate/broadcast breakdown line cmd/flsim prints.
-// Evaluation is deterministic given an AttackSet seed; batch fan-out
-// across oracle workers (one per core) never changes results, only wall
-// time.
+// Evaluation is deterministic given an AttackSet seed: each attack queries
+// one oracle per defender with the whole batch, and the kernel worker count
+// (PELTA_KERNEL_WORKERS) never changes results, only wall time.
 package eval

@@ -88,23 +88,6 @@ func (s AttackSet) Random() *attack.RandomUniform {
 // median robust accuracy over several draws.
 const KernelDraws = 3
 
-// Median returns the median of a non-empty slice (its input is sorted in
-// place).
-func Median(vals []float64) float64 {
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j] < vals[j-1]; j-- {
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-		}
-	}
-	return vals[len(vals)/2]
-}
-
-// ClearOracleFor returns the harness's standard clear oracle for m: pooled
-// arenas fanned across one worker per core (0 = GOMAXPROCS).
-func ClearOracleFor(m models.Model) attack.Oracle {
-	return attack.NewParallelClearOracle(m, 0)
-}
-
 // ShieldedOracleFor shields m in a fresh enclave and returns the attacker's
 // gradient oracle through it; seed draws its random upsampling kernel.
 func ShieldedOracleFor(m models.Model, seed int64) (attack.Oracle, error) {

@@ -42,8 +42,7 @@ func RunFig4(vit *models.ViT, bit *models.BiT, val *dataset.Dataset, set AttackS
 	saga := set.SAGA()
 	rollout := &attack.ViTRollout{V: vit}
 	for _, setting := range []ShieldSetting{ShieldNone, ShieldBiTOnly, ShieldViTOnly, ShieldBoth} {
-		vitO := ClearOracleFor(vit)
-		bitO := ClearOracleFor(bit)
+		var vitO, bitO attack.Oracle = attack.NewClearOracle(vit), attack.NewClearOracle(bit)
 		if setting == ShieldViTOnly || setting == ShieldBoth {
 			so, err := ShieldedOracleFor(vit, set.Seed+int64(setting))
 			if err != nil {

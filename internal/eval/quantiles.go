@@ -43,7 +43,9 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	pos := q * float64(len(sorted)-1)
 	lo := int(pos)
 	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
+	// An exact rank returns its element: interpolating there would compute
+	// 0·(hi−lo), which is NaN when the spread overflows to +Inf.
+	if frac == 0 || lo+1 >= len(sorted) {
 		return sorted[lo]
 	}
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])

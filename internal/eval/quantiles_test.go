@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 func TestQuantileExactRanks(t *testing.T) {
@@ -75,5 +76,47 @@ func TestQuantileBoundedMonotone(t *testing.T) {
 			t.Fatalf("Quantile(%v) = %v < previous %v (not monotone)", q, v, prev)
 		}
 		prev = v
+	}
+}
+
+// TestQuantileMedian pins Quantile(·, 0.5) on the odd-length inputs the
+// Table III/IV harness passes (1 or KernelDraws values): the middle element
+// of the sorted input, exactly.
+func TestQuantileMedian(t *testing.T) {
+	tests := []struct {
+		in   []float64
+		want float64
+	}{
+		{[]float64{3}, 3},
+		{[]float64{3, 1, 2}, 2},
+		{[]float64{1, 0, 1}, 1},
+		{[]float64{0.5, 0.9, 0.1, 0.7, 0.3}, 0.5},
+	}
+	for _, tt := range tests {
+		if got := Quantile(tt.in, 0.5); got != tt.want {
+			t.Errorf("Quantile(%v, 0.5) = %v, want %v", tt.in, got, tt.want)
+		}
+	}
+}
+
+// TestQuantileMedianBoundedProperty checks that the median of three
+// arbitrary finite values lies between their minimum and maximum, including
+// spreads wider than math.MaxFloat64.
+func TestQuantileMedianBoundedProperty(t *testing.T) {
+	f := func(a, b, c float64) bool {
+		m := Quantile([]float64{a, b, c}, 0.5)
+		lo, hi := a, a
+		for _, v := range []float64{b, c} {
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+		}
+		return m >= lo && m <= hi
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -37,7 +37,7 @@ func RunTable3Row(m models.Model, val *dataset.Dataset, n int, set AttackSet) (T
 	if err != nil {
 		return Table3Row{}, fmt.Errorf("eval: %s: %w", m.Name(), err)
 	}
-	clearO := ClearOracleFor(m)
+	clearO := attack.NewClearOracle(m)
 	// One shielded oracle per kernel draw.
 	shieldOs := make([]attack.Oracle, KernelDraws)
 	for k := range shieldOs {
@@ -63,7 +63,7 @@ func RunTable3Row(m models.Model, val *dataset.Dataset, n int, set AttackSet) (T
 			}
 			robust = append(robust, RobustAccuracy(m, xs, y))
 		}
-		cell.Shielded = Median(robust)
+		cell.Shielded = Quantile(robust, 0.5)
 		row.Cells = append(row.Cells, cell)
 	}
 	return row, nil

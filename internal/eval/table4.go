@@ -90,8 +90,7 @@ func RunTable4(vit *models.ViT, bit *models.BiT, val *dataset.Dataset, n int, se
 		vitAcc := make([]float64, 0, draws)
 		bitAcc := make([]float64, 0, draws)
 		for k := 0; k < draws; k++ {
-			vitO := ClearOracleFor(vit)
-			bitO := ClearOracleFor(bit)
+			var vitO, bitO attack.Oracle = attack.NewClearOracle(vit), attack.NewClearOracle(bit)
 			if setting == ShieldViTOnly || setting == ShieldBoth {
 				so, err := ShieldedOracleFor(vit, set.Seed+int64(setting)+int64(1000*k))
 				if err != nil {
@@ -120,9 +119,9 @@ func RunTable4(vit *models.ViT, bit *models.BiT, val *dataset.Dataset, n int, se
 		}
 		out.Columns = append(out.Columns, Table4Column{
 			Setting:  setting,
-			ViT:      Median(vitAcc),
-			BiT:      Median(bitAcc),
-			Ensemble: Median(ensAcc),
+			ViT:      Quantile(vitAcc, 0.5),
+			BiT:      Quantile(bitAcc, 0.5),
+			Ensemble: Quantile(ensAcc, 0.5),
 		})
 	}
 	return out, nil

@@ -6,17 +6,19 @@ import "time"
 // live workers and a control loop grows/shrinks the live set between Min
 // and Max, driven by two signals read every Interval on the service clock:
 //
-//   - queue depth — the admission queue holding more than UpQueueFrac of
-//     its capacity means the live replicas are falling behind; scale up.
+//   - queue depth — the admission queue holding at least upQueueFrac
+//     (half) of its capacity means the live replicas are falling behind;
+//     scale up.
 //   - windowed p95 latency — served latency since the last tick exceeding
 //     TargetP95 means the SLO is burning even if the queue still fits;
 //     scale up.
 //
 // Scale-down is deliberately more reluctant (hysteresis): the queue must
-// sit below DownQueueFrac and the windowed p95 inside half the SLO for
-// DownStable consecutive ticks. Cooldown separates any two scale actions so
-// the loop cannot flap. Every decision is appended to Service.ScaleEvents
-// and counted in Metrics (live_replicas, scale_ups, scale_downs).
+// sit at or below downQueueFrac (a tenth) of its capacity and the windowed
+// p95 inside half the SLO for DownStable consecutive ticks. Cooldown
+// separates any two scale actions so the loop cannot flap. Every decision is
+// appended to Service.ScaleEvents and counted in Metrics (live_replicas,
+// scale_ups, scale_downs).
 type AutoscaleConfig struct {
 	// Min and Max bound the live replica count. Min defaults to 1; Max
 	// defaults to (and is clamped at) the replica pool size.
@@ -29,12 +31,6 @@ type AutoscaleConfig struct {
 	// Cooldown is the minimum time between two scale actions (default
 	// 2×Interval).
 	Cooldown time.Duration
-	// UpQueueFrac scales up when queue depth ≥ this fraction of QueueDepth
-	// (default 0.5).
-	UpQueueFrac float64
-	// DownQueueFrac allows scale-down only when queue depth ≤ this
-	// fraction of QueueDepth (default 0.1).
-	DownQueueFrac float64
 	// DownStable is how many consecutive calm ticks precede a scale-down
 	// (default 3).
 	DownStable int
@@ -57,17 +53,19 @@ func (c AutoscaleConfig) withDefaults(poolSize int) AutoscaleConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * c.Interval
 	}
-	if c.UpQueueFrac <= 0 {
-		c.UpQueueFrac = 0.5
-	}
-	if c.DownQueueFrac <= 0 {
-		c.DownQueueFrac = 0.1
-	}
 	if c.DownStable <= 0 {
 		c.DownStable = 3
 	}
 	return c
 }
+
+// The queue-depth thresholds, as fractions of Config.QueueDepth: a tick
+// scales up when the queue is at least upQueueFrac full and counts as calm
+// only when it is at most downQueueFrac full.
+const (
+	upQueueFrac   = 0.5
+	downQueueFrac = 0.1
+)
 
 // ScaleEvent is one autoscaler action, timestamped on the service clock.
 type ScaleEvent struct {
@@ -102,9 +100,9 @@ func (a *autoscaler) step(now time.Time) {
 	live := s.liveN
 	qFrac := float64(len(s.queue)) / float64(s.cfg.QueueDepth)
 	targetMs := float64(a.cfg.TargetP95) / float64(time.Millisecond)
-	hotQueue := qFrac >= a.cfg.UpQueueFrac
+	hotQueue := qFrac >= upQueueFrac
 	hotP95 := targetMs > 0 && n > 0 && p95 > targetMs
-	calmTick := qFrac <= a.cfg.DownQueueFrac && (targetMs <= 0 || n == 0 || p95 <= targetMs/2)
+	calmTick := qFrac <= downQueueFrac && (targetMs <= 0 || n == 0 || p95 <= targetMs/2)
 	cooled := a.last.IsZero() || !now.Before(a.last.Add(a.cfg.Cooldown))
 	switch {
 	case hotQueue || hotP95:

@@ -82,7 +82,7 @@ func TestAutoscalerDecisionLoop(t *testing.T) {
 	}
 
 	// Back the service up: 5 submits = 1 serving + 1 staged in the batcher
-	// + 3 queued of QueueDepth 4 ⇒ 75% full, above UpQueueFrac. offered=5
+	// + 3 queued of QueueDepth 4 ⇒ 75% full, above upQueueFrac. offered=5
 	// plus the queue length pins the exact stable state before any tick.
 	wg := submitN(s, 5)
 	waitFor(t, func() bool {
@@ -92,7 +92,7 @@ func TestAutoscalerDecisionLoop(t *testing.T) {
 	s.scaler.step(t0.Add(10 * time.Millisecond))
 	waitFor(t, func() bool { return s.LiveReplicas() == 2 && reps[1].serving.Load() == 1 && len(s.queue) == 2 })
 
-	// Still hot (2/4 = UpQueueFrac), but inside the 30ms cooldown.
+	// Still hot (2/4 = upQueueFrac), but inside the 30ms cooldown.
 	s.scaler.step(t0.Add(20 * time.Millisecond))
 	if got := s.LiveReplicas(); got != 2 {
 		t.Fatalf("scale-up ignored the cooldown: live %d", got)

@@ -33,7 +33,7 @@
 // caller-runs scheduling: one recycled dispatch record per call is offered
 // to the pool non-blocking and the calling goroutine always executes chunks
 // itself, so kernels invoked from inside another parallel region (or from
-// the attack-layer ParallelOracle workers) degrade to inline execution
+// concurrent callers such as serving replicas) degrade to inline execution
 // instead of oversubscribing or deadlocking. Dispatch allocates nothing
 // beyond the caller's body closure. A kernel panic in any chunk, on a
 // helper or on the caller, is re-raised to the caller with its original

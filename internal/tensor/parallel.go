@@ -21,11 +21,11 @@ import (
 // follow:
 //
 //   - Nesting guard. A kernel running inside another parallel region (a
-//     matmul inside a batch-parallel convolution, or inside an
-//     attack.ParallelOracle worker) cannot oversubscribe the machine: the
-//     helper budget is the fixed pool size no matter how many concurrent
-//     callers exist, and when all workers are busy the nested call simply
-//     degrades to inline execution on its own goroutine. Workers never
+//     matmul inside a batch-parallel convolution) or beside concurrent
+//     callers (serving replicas, FL clients) cannot oversubscribe the
+//     machine: the helper budget is the fixed pool size no matter how many
+//     concurrent callers exist, and when all workers are busy the nested
+//     call simply degrades to inline execution on its own goroutine. Workers never
 //     block on anything but strictly-nested work, so no cycle of waits —
 //     and hence no deadlock — can form.
 //

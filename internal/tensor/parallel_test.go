@@ -246,9 +246,10 @@ func TestFusedAttentionMatchesMaterializingChain(t *testing.T) {
 }
 
 // TestWorkerPoolConcurrentCallers hammers the shared pool from many
-// concurrent ParallelOracle-style callers, each running nested parallel
-// kernels, and checks every caller still gets bit-exact results. Run under
-// -race this doubles as the data-race probe for the caller-runs scheduler.
+// concurrent callers (as serving replicas and FL clients are), each running
+// nested parallel kernels, and checks every caller still gets bit-exact
+// results. Run under -race this doubles as the data-race probe for the
+// caller-runs scheduler.
 func TestWorkerPoolConcurrentCallers(t *testing.T) {
 	rng := NewRNG(606)
 	a := rng.Uniform(-1, 1, 96, 160)
