@@ -307,3 +307,42 @@ func TestFingerprintInvariances(t *testing.T) {
 		t.Fatalf("flat input fingerprint has %d dims, want 16", len(got))
 	}
 }
+
+// TestObserveAllocs pins the detector's per-query allocations once a
+// client's ring is full: ObserveFingerprint searches into scratch the
+// detector owns and sorts without a closure, so it allocates nothing, and
+// Observe adds only Fingerprint's cell buffer and the fingerprint it hands
+// over. Measured the same way at the parent commit the two cost 5 and 8:
+// the vecs slice, the neighbor list and three in sort.Slice (the boxed
+// slice, its swapper and the less closure), plus separate sum and cnt
+// slices in Fingerprint.
+func TestObserveAllocs(t *testing.T) {
+	d := New(Config{})
+	rng := tensor.NewRNG(5)
+	base := basePattern(rng)
+	xs := make([]*tensor.Tensor, 2*d.Config().Window)
+	for i := range xs {
+		xs[i] = probeTensor(rng, base, 0.03)
+	}
+	now := time.Unix(0, 0)
+	for _, x := range xs {
+		d.Observe("c", x, now)
+	}
+	fps := make([][]float32, len(xs))
+	for i, x := range xs {
+		fps[i] = Fingerprint(x, d.Config().Grid)
+	}
+	i := 0
+	if got := testing.AllocsPerRun(100, func() {
+		d.ObserveFingerprint("c", fps[i%len(fps)], now)
+		i++
+	}); got != 0 {
+		t.Errorf("ObserveFingerprint with a full ring: %.1f allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		d.Observe("c", xs[i%len(xs)], now)
+		i++
+	}); got > 2 {
+		t.Errorf("Observe with a full ring: %.1f allocs, want ≤ 2", got)
+	}
+}

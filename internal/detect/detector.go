@@ -145,6 +145,11 @@ type Detector struct {
 	hits       uint64
 	flaggedQ   uint64
 	flagEvents uint64
+
+	// vecs and nn are ObserveFingerprint's search scratch, reused under mu
+	// so a steady-state observation allocates nothing.
+	vecs [][]float32
+	nn   []Neighbor
 }
 
 // New returns a Detector with cfg's unset fields defaulted.
@@ -204,11 +209,12 @@ func (d *Detector) ObserveFingerprint(client string, fp []float32, now time.Time
 
 	// K-th-NN over the buffered fingerprints, oldest first so tie order is
 	// insertion order.
-	vecs := make([][]float32, len(c.ring))
-	for i := range vecs {
-		vecs[i] = c.ring[(c.head+i)%len(c.ring)].fp
+	d.vecs = d.vecs[:0]
+	for i := range c.ring {
+		d.vecs = append(d.vecs, c.ring[(c.head+i)%len(c.ring)].fp)
 	}
-	dist := KthDistance(vecs, fp, d.cfg.K)
+	d.nn = nearest(d.nn, d.vecs, fp, d.cfg.K)
+	dist := kth(d.nn, d.cfg.K)
 	hit := dist <= d.cfg.Threshold
 
 	// Slide the m-of-w window.

@@ -34,8 +34,11 @@ func Fingerprint(x *tensor.Tensor, grid int) []float32 {
 	if x.Rank() == 3 {
 		c, h, w = x.Dim(0), x.Dim(1), x.Dim(2)
 	}
-	sum := make([]float64, c*grid*grid)
-	cnt := make([]int, c*grid*grid)
+	// sum and cnt share one allocation; a float64 count is exact, so the
+	// means are the same bits an int count gives.
+	cells := c * grid * grid
+	buf := make([]float64, 2*cells)
+	sum, cnt := buf[:cells], buf[cells:]
 	data := x.Data()
 	for ch := 0; ch < c; ch++ {
 		base := ch * h * w
@@ -55,7 +58,7 @@ func Fingerprint(x *tensor.Tensor, grid int) []float32 {
 	filled := 0
 	for i, n := range cnt {
 		if n > 0 {
-			sum[i] /= float64(n)
+			sum[i] /= n
 			mean += sum[i]
 			filled++
 		}

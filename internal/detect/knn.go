@@ -1,8 +1,9 @@
 package detect
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Distance returns the cosine distance 1 − a·b between two equal-length
@@ -27,32 +28,48 @@ type Neighbor struct {
 // Neighbors returns the k nearest vectors to q, sorted by distance
 // ascending. Ties rank by lower index (insertion order in the detector's
 // ring buffer), so results are fully deterministic even on duplicate
-// fingerprints. Fewer than k vectors return them all.
+// fingerprints. Fewer than k vectors return them all. The result is a fresh
+// slice; the detector itself searches into scratch it owns (nearest).
 func Neighbors(vecs [][]float32, q []float32, k int) []Neighbor {
 	if k <= 0 || len(vecs) == 0 {
 		return nil
 	}
-	out := make([]Neighbor, len(vecs))
+	return nearest(make([]Neighbor, 0, len(vecs)), vecs, q, k)
+}
+
+// nearest is Neighbors written into dst's storage (k ≥ 1): every distance,
+// a full sort in (Dist, Index) order, then the first k.
+func nearest(dst []Neighbor, vecs [][]float32, q []float32, k int) []Neighbor {
+	out := dst[:0]
 	for i, v := range vecs {
-		out[i] = Neighbor{Index: i, Dist: Distance(q, v)}
+		out = append(out, Neighbor{Index: i, Dist: Distance(q, v)})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Dist != out[b].Dist {
-			return out[a].Dist < out[b].Dist
+	slices.SortFunc(out, compareNeighbors)
+	return out[:min(k, len(out))]
+}
+
+// compareNeighbors orders by distance, then by index. A top-level func, so
+// sorting allocates neither a closure nor a swapper.
+func compareNeighbors(a, b Neighbor) int {
+	if a.Dist != b.Dist {
+		if a.Dist < b.Dist {
+			return -1
 		}
-		return out[a].Index < out[b].Index
-	})
-	if len(out) > k {
-		out = out[:k]
+		return 1
 	}
-	return out
+	return cmp.Compare(a.Index, b.Index)
 }
 
 // KthDistance returns the K-th-nearest-neighbor distance of q over vecs
 // (1-based: k=1 is the nearest). With fewer than k vectors it returns
 // +Inf — a query with no history can never look like a duplicate.
 func KthDistance(vecs [][]float32, q []float32, k int) float64 {
-	nn := Neighbors(vecs, q, k)
+	return kth(Neighbors(vecs, q, k), k)
+}
+
+// kth reads the K-th distance off a sorted neighbor list, +Inf when it
+// holds fewer than k.
+func kth(nn []Neighbor, k int) float64 {
 	if len(nn) < k {
 		return math.Inf(1)
 	}

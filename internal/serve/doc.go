@@ -63,7 +63,18 @@
 //     parsing the body. The X-Pelta-Client header names the probe-detector
 //     client identity (falling back to the remote host). NewHandlerWith
 //     adds HandlerOptions — currently Pprof, mounting net/http/pprof
-//     under /debug/pprof/.
+//     under /debug/pprof/. A /query line of the shape json.Marshal gives
+//     a QueryRequest — {"x":[…]} with an optional "deadline_ms", either
+//     order, JSON whitespace — is decoded without encoding/json: each
+//     number is checked against the JSON grammar and parsed with
+//     strconv.ParseFloat at its field's bit size (the call encoding/json
+//     makes), straight into one float32 slab per body that the line
+//     tensors then point into, so the slab is never reused across bodies.
+//     Every other line falls back to json.Unmarshal on that line, so
+//     what is accepted, every error message and every float32 bit are
+//     encoding/json's; FuzzDecodeQueryLine checks the two agree on every
+//     line the fast path takes. A deadline beyond time.Duration's range
+//     is no deadline.
 //
 // The tracing and telemetry layer (Config.Trace, off by default — the
 // untraced Submit path allocates nothing for it):

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -42,4 +46,60 @@ func FuzzQueryBody(f *testing.F) {
 			t.Fatalf("arriving = %d at rest after body %q", n, body)
 		}
 	})
+}
+
+// FuzzDecodeQueryLine is the differential test of the /query fast path:
+// whenever appendQueryLine takes a line, json.Unmarshal must take it too,
+// with the same float32 bits per value and the same deadline (see
+// checkFastPath). It is seeded with every line of the FuzzQueryBody corpus
+// and with lines on either side of the fast path's edge: JSON number
+// grammar ParseFloat alone would accept, float32 overflow and underflow,
+// a key spelled otherwise or repeated, null, trailing bytes and padding.
+func FuzzDecodeQueryLine(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzQueryBody", "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range seeds {
+		body := readCorpusBytes(f, path)
+		for _, line := range bytes.Split(body, []byte("\n")) {
+			f.Add(line)
+		}
+	}
+	for _, line := range []string{
+		`{"x":[01]}`,
+		`{"x":[1.]}`,
+		`{"x":[.5]}`,
+		`{"x":[+1]}`,
+		`{"x":[1e39]}`,
+		`{"x":[1.4e-46]}`,
+		`{"x":[-0]}`,
+		`{"X":[1]}`,
+		`{"x":[1],"x":[2]}`,
+		`{"x":null}`,
+		`{"x":[1]} x`,
+		" \t{ \"deadline_ms\" : 2.5e1 ,\r\n \"x\" : [ 0.5 , -1E-3 ] } ",
+	} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		checkFastPath(t, line)
+	})
+}
+
+// readCorpusBytes reads the one []byte value of a "go test fuzz v1" file.
+func readCorpusBytes(f *testing.F, path string) []byte {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(data)), "\n")
+	if !strings.HasPrefix(lit, "[]byte(") || !strings.HasSuffix(lit, ")") {
+		f.Fatalf("%s: not a []byte corpus entry", path)
+	}
+	s, err := strconv.Unquote(lit[len("[]byte(") : len(lit)-1])
+	if err != nil {
+		f.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }

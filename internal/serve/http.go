@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -55,6 +58,163 @@ const (
 	HeaderShed   = "X-Pelta-Shed"
 	HeaderErrors = "X-Pelta-Errors"
 )
+
+// scanBufs recycles the 64-KB line buffers of /query's scanners. A line
+// longer than that grows a private buffer, which is dropped; only the
+// pooled one goes back.
+var scanBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1<<16)
+	return &b
+}}
+
+// appendQueryLine is the /query fast path: it decodes a line of exactly
+// the shape json.Marshal gives a QueryRequest — {"x":[…]} with an optional
+// "deadline_ms", in either order, JSON whitespace anywhere — appending the
+// values to xs and returning the deadline. Each number must match the JSON
+// grammar and is parsed with strconv.ParseFloat at the bit size of its
+// field, the call encoding/json makes, so an accepted line yields the very
+// bits json.Unmarshal would. Anything else — another key or spelling, a
+// repeated key, null, nesting, escapes, trailing bytes, a value out of
+// float32 range — returns ok == false with xs cut back to its input
+// length, and the caller hands the line to json.Unmarshal, so what is
+// accepted and every error message stay encoding/json's.
+func appendQueryLine(xs []float32, line []byte) (_ []float32, deadlineMs float64, ok bool) {
+	n := len(xs)
+	fail := func() ([]float32, float64, bool) { return xs[:n], 0, false }
+	var seenX, seenDeadline bool
+	i := skipSpace(line, 0)
+	if !at(line, i, '{') {
+		return fail()
+	}
+	for {
+		i = skipSpace(line, i+1)
+		isX := !seenX && bytes.HasPrefix(line[i:], keyX)
+		switch {
+		case isX:
+			seenX, i = true, i+len(keyX)
+		case !seenDeadline && bytes.HasPrefix(line[i:], keyDeadline):
+			seenDeadline, i = true, i+len(keyDeadline)
+		default:
+			return fail()
+		}
+		if i = skipSpace(line, i); !at(line, i, ':') {
+			return fail()
+		}
+		i = skipSpace(line, i+1)
+		if isX {
+			if !at(line, i, '[') {
+				return fail()
+			}
+			i = skipSpace(line, i+1)
+			for first := true; !at(line, i, ']'); first = false {
+				if !first {
+					if !at(line, i, ',') {
+						return fail()
+					}
+					i = skipSpace(line, i+1)
+				}
+				v, end, ok := parseNumber(line, i, 32)
+				if !ok {
+					return fail()
+				}
+				xs = append(xs, float32(v))
+				i = skipSpace(line, end)
+			}
+			i++
+		} else if deadlineMs, i, ok = parseNumber(line, i, 64); !ok {
+			return fail()
+		}
+		if i = skipSpace(line, i); at(line, i, '}') {
+			break
+		}
+		if !at(line, i, ',') {
+			return fail()
+		}
+	}
+	if !seenX || skipSpace(line, i+1) != len(line) {
+		return fail()
+	}
+	return xs, deadlineMs, true
+}
+
+// The two keys of the fast path, quotes included.
+var (
+	keyX        = []byte(`"x"`)
+	keyDeadline = []byte(`"deadline_ms"`)
+)
+
+// at reports whether b[i] exists and is c.
+func at(b []byte, i int, c byte) bool { return i < len(b) && b[i] == c }
+
+// parseNumber parses the JSON number at b[i] with strconv.ParseFloat at
+// bitSize and returns it with the index just past it. ok is false when no
+// JSON number starts there or ParseFloat refuses it (out of range).
+func parseNumber(b []byte, i, bitSize int) (v float64, end int, ok bool) {
+	if end = numberEnd(b, i); end < 0 {
+		return 0, i, false
+	}
+	v, err := strconv.ParseFloat(string(b[i:end]), bitSize)
+	return v, end, err == nil
+}
+
+// skipSpace returns the index of the first non-whitespace byte of b at or
+// after i (JSON whitespace: space, tab, CR, LF).
+func skipSpace(b []byte, i int) int {
+	for i < len(b) {
+		switch b[i] {
+		case ' ', '\t', '\r', '\n':
+			i++
+		default:
+			return i
+		}
+	}
+	return i
+}
+
+// numberEnd returns the end of the JSON number starting at b[i] —
+// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? — or -1 when none does.
+// strconv.ParseFloat alone would also take "+1", ".5", "1.", "0x1p0",
+// "Inf" and "1_0", which JSON does not.
+func numberEnd(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		if j == i+1 {
+			return -1
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := skipDigits(b, i)
+		if j == i {
+			return -1
+		}
+		i = j
+	}
+	return i
+}
+
+// skipDigits returns the index of the first non-digit of b at or after i.
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
 
 // HeaderClient names the request header carrying the caller's client
 // identity for the probe detector. Absent, the identity falls back to the
@@ -157,28 +317,42 @@ func NewHandlerWith(s *Service, opts HandlerOptions) http.Handler {
 			http.Error(w, msg, code)
 		}
 
-		var reqs []QueryRequest
+		// Every line's values go into one per-body slab, dim apiece; the
+		// per-line tensors handed to submit point into it, so it is never
+		// recycled across bodies.
+		var xs []float32
+		var deadlines []float64
+		bufp := scanBufs.Get().(*[]byte)
+		defer scanBufs.Put(bufp)
 		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+		sc.Buffer(*bufp, 1<<24)
 		for sc.Scan() {
 			line := sc.Bytes()
 			if len(line) == 0 {
 				continue
 			}
-			var q QueryRequest
-			if err := json.Unmarshal(line, &q); err != nil {
-				reject(http.StatusBadRequest, fmt.Sprintf("line %d: %v", len(reqs)+1, err))
+			n := len(deadlines) + 1
+			xs = slices.Grow(xs, dim)
+			from := len(xs)
+			var deadlineMs float64
+			var ok bool
+			if xs, deadlineMs, ok = appendQueryLine(xs, line); !ok {
+				var q QueryRequest
+				if err := json.Unmarshal(line, &q); err != nil {
+					reject(http.StatusBadRequest, fmt.Sprintf("line %d: %v", n, err))
+					return
+				}
+				xs, deadlineMs = append(xs, q.X...), q.DeadlineMs
+			}
+			if got := len(xs) - from; got != dim {
+				reject(http.StatusBadRequest, fmt.Sprintf("line %d: sample has %d values, want %d", n, got, dim))
 				return
 			}
-			if len(q.X) != dim {
-				reject(http.StatusBadRequest, fmt.Sprintf("line %d: sample has %d values, want %d", len(reqs)+1, len(q.X), dim))
-				return
-			}
-			if len(reqs) == maxQueryLines {
+			if n > maxQueryLines {
 				reject(http.StatusRequestEntityTooLarge, fmt.Sprintf("too many lines (max %d)", maxQueryLines))
 				return
 			}
-			reqs = append(reqs, q)
+			deadlines = append(deadlines, deadlineMs)
 		}
 		if err := sc.Err(); err != nil {
 			// An oversized or truncated line is rejected traffic too.
@@ -197,22 +371,25 @@ func NewHandlerWith(s *Service, opts HandlerOptions) http.Handler {
 		// first goroutine starts, so the batcher holds a partial batch for
 		// the rest of the body instead of handing it to an idle worker.
 		clock := s.Clock()
-		out := make([]QueryResponse, len(reqs))
+		shape := s.pool.InputShape()
+		out := make([]QueryResponse, len(deadlines))
 		var served, shed, failed atomic.Int64
 		sem := make(chan struct{}, s.cfg.QueueDepth)
 		var wg sync.WaitGroup
-		s.arriving.Add(int64(len(reqs)))
-		for i, q := range reqs {
+		s.arriving.Add(int64(len(deadlines)))
+		for i, deadlineMs := range deadlines {
 			wg.Add(1)
 			sem <- struct{}{}
-			go func(i int, q QueryRequest) {
+			go func(i int, deadlineMs float64) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				x := tensor.FromSlice(q.X, s.pool.InputShape()...)
+				x := tensor.FromSlice(xs[i*dim:(i+1)*dim:(i+1)*dim], shape...)
 				start := clock.Now()
 				var deadline time.Time
-				if q.DeadlineMs > 0 {
-					deadline = start.Add(time.Duration(q.DeadlineMs * float64(time.Millisecond)))
+				// A deadline past the Duration range is no deadline: the
+				// conversion would wrap it negative and shed the line.
+				if ms := deadlineMs * float64(time.Millisecond); ms > 0 && ms < math.MaxInt64 {
+					deadline = start.Add(time.Duration(ms))
 				}
 				res, err := s.submit("query", client, x, deadline)
 				if err != nil {
@@ -234,7 +411,7 @@ func NewHandlerWith(s *Service, opts HandlerOptions) http.Handler {
 				if wantLogits {
 					out[i].Logits = append([]float32(nil), res.Logits.Data()...)
 				}
-			}(i, q)
+			}(i, deadlineMs)
 		}
 		wg.Wait()
 		h := w.Header()
@@ -242,15 +419,15 @@ func NewHandlerWith(s *Service, opts HandlerOptions) http.Handler {
 		h.Set(HeaderServed, strconv.FormatInt(served.Load(), 10))
 		h.Set(HeaderShed, strconv.FormatInt(shed.Load(), 10))
 		h.Set(HeaderErrors, strconv.FormatInt(failed.Load(), 10))
-		if len(reqs) > 0 && served.Load() == 0 {
+		if len(deadlines) > 0 && served.Load() == 0 {
 			// Nothing in this request got an answer: the service is
 			// overloaded (or down) from this caller's point of view, and a
 			// 200 would force clients to parse every line to notice.
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
 		enc := json.NewEncoder(w)
-		for _, resp := range out {
-			_ = enc.Encode(resp)
+		for i := range out {
+			_ = enc.Encode(&out[i])
 		}
 	})
 	return mux

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"pelta/internal/autograd"
 	"pelta/internal/core"
@@ -91,6 +92,7 @@ func (r *ClearReplica) Logits(x *tensor.Tensor) (*tensor.Tensor, error) {
 // drives each from its own worker goroutine.
 type ReplicaPool struct {
 	replicas []Replica
+	shape    []int
 }
 
 // NewReplicaPool builds n replicas from the factory. The factory must
@@ -111,26 +113,15 @@ func NewReplicaPool(n int, build func(i int) (Replica, error)) (*ReplicaPool, er
 				return nil, fmt.Errorf("serve: replica %d has %d classes, replica 0 has %d",
 					i, r.Classes(), p.replicas[0].Classes())
 			}
-			if !equalShape(r.InputShape(), p.replicas[0].InputShape()) {
+			if !slices.Equal(r.InputShape(), p.replicas[0].InputShape()) {
 				return nil, fmt.Errorf("serve: replica %d input shape %v, replica 0 has %v",
 					i, r.InputShape(), p.replicas[0].InputShape())
 			}
 		}
 		p.replicas[i] = r
 	}
+	p.shape = slices.Clone(p.replicas[0].InputShape())
 	return p, nil
-}
-
-func equalShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Size returns the replica count.
@@ -139,8 +130,10 @@ func (p *ReplicaPool) Size() int { return len(p.replicas) }
 // Classes returns the pool's label-space size.
 func (p *ReplicaPool) Classes() int { return p.replicas[0].Classes() }
 
-// InputShape returns the pool's per-sample input shape [C,H,W].
-func (p *ReplicaPool) InputShape() []int { return p.replicas[0].InputShape() }
+// InputShape returns the pool's per-sample input shape [C,H,W], read once
+// when the pool was built. The slice is shared by every caller (the
+// serving path asks for it per line), so callers must not modify it.
+func (p *ReplicaPool) InputShape() []int { return p.shape }
 
 // NewShieldedPool builds n shielded replicas, each wrapping its own model
 // instance from build inside its own enclave of the given byte limit (≤ 0

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -348,7 +349,7 @@ func (s *Service) submit(route, client string, x *tensor.Tensor, deadline time.T
 	if x.Rank() == len(want)+1 && x.Dim(0) == 1 {
 		x = x.Slice(0)
 	}
-	if !equalShape(x.Shape(), want) {
+	if !slices.Equal(x.Shape(), want) {
 		s.mu.RUnlock()
 		s.arriving.Add(-1)
 		s.unserved(route, &sp, obs.OutcomeRejected)
