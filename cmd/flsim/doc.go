@@ -36,7 +36,8 @@
 //
 // A row records the cell's configuration plus outcome and engine telemetry:
 // final_accuracy, robust_accuracy/fooled from the compromised client's last
-// probe, poison_effective, bandwidth (down_bytes/up_bytes), wall time,
+// probe, poison_effective, bandwidth (down_bytes/up_bytes: fl.WireBytes,
+// the weights' size in the FL wire's binary frames), wall time,
 // rounds_per_sec, and the aggregator's merged/stale_merged/duplicates/
 // rejected/drops counters.
 package main

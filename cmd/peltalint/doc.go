@@ -20,8 +20,9 @@
 //	shieldtaint    shield-confidential data (Enclave.Load results,
 //	               enclave Tokens, shield-marked buffers) reaching an
 //	               attacker-visible sink: HTTP responses, NDJSON/gob
-//	               encoders, obs telemetry, fmt/log output, or Pool.Put
-//	               without an intervening Scrub
+//	               encoders, the FL weight-frame encoder, obs
+//	               telemetry, fmt/log output, or Pool.Put without an
+//	               intervening Scrub
 //	errpath        an error checked on one CFG path but dropped on
 //	               another
 //	lockorder      AB/BA mutex acquisition cycles across serve, fl and

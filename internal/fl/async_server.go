@@ -17,8 +17,9 @@ type RoundResult struct {
 	// Notes carries client telemetry (e.g. attack outcome reports) and the
 	// engine's own drop / refusal lines.
 	Notes []string
-	// DownBytes is the wire size of the broadcast model; UpBytes sums the
-	// merged client updates — the §VI bandwidth accounting.
+	// DownBytes is the broadcast model's WireBytes, its size in a weight
+	// frame; UpBytes sums the WireBytes of the merged client updates — the
+	// §VI bandwidth accounting.
 	DownBytes int
 	UpBytes   int
 	// Merged, StaleMerged and Dropped describe the round's composition:
@@ -29,7 +30,7 @@ type RoundResult struct {
 	Dropped     int
 	// Timing is the round's phase span: client training (client-measured),
 	// update transport (round-trip wall minus training), the aggregation
-	// rule plus apply, and the model broadcast (snapshot plus encoding).
+	// rule plus apply, and the model broadcast (snapshot plus wire size).
 	// Timestamps read the engine's clock, so spans are deterministic when
 	// a fake clock is injected.
 	Timing obs.RoundSpan
@@ -186,7 +187,7 @@ func (s *AsyncServer) Run() ([]RoundResult, error) {
 	snapshot := Snapshot(s.Global)
 	down, err := WireBytes(snapshot)
 	if err != nil {
-		return nil, fmt.Errorf("fl: encoding round 1 broadcast: %w", err)
+		return nil, fmt.Errorf("fl: framing round 1 broadcast: %w", err)
 	}
 	broadcastNS := now().Sub(tB0).Nanoseconds()
 	// Per-version telemetry accumulated between aggregations.
@@ -318,7 +319,7 @@ func (s *AsyncServer) Run() ([]RoundResult, error) {
 			tB := now()
 			snapshot = Snapshot(s.Global)
 			if down, err = WireBytes(snapshot); err != nil {
-				return results, fmt.Errorf("fl: encoding round %d broadcast: %w", version+1, err)
+				return results, fmt.Errorf("fl: framing round %d broadcast: %w", version+1, err)
 			}
 			broadcastNS = now().Sub(tB).Nanoseconds()
 			_, cohort = launch()

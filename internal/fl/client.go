@@ -44,6 +44,12 @@ type HonestClient struct {
 	// Now overrides the clock TrainNS is measured on (nil = wall clock).
 	// Tests inject a counter to make round spans exact.
 	Now func() time.Time
+
+	// tr is the client's one trainer, built on first use for trModel at
+	// trLR and reset before every round.
+	tr      *models.Trainer
+	trModel models.Model
+	trLR    float64
 }
 
 var _ Client = (*HonestClient)(nil)
@@ -67,11 +73,18 @@ func (c *HonestClient) Update(req UpdateRequest) (UpdateResponse, error) {
 
 // fit is the timed local-training step HonestClient, PoisoningClient and
 // ModelReplacementClient share: train c.Model on d, snapshot the result.
-// TrainNS covers training and the snapshot.
+// TrainNS covers training and the snapshot. Every round trains from fresh
+// optimizer state, as models.Train does, on the client's one trainer: it is
+// rebuilt only when Model or Train.LR changed since it was built.
 func (c *HonestClient) fit(round int, d *dataset.Dataset) (UpdateResponse, error) {
 	now := nowOr(c.Now)
 	t0 := now()
-	if _, err := models.Train(c.Model, d.X, d.Y, c.Train); err != nil {
+	if c.tr == nil || c.trModel != c.Model || c.trLR != c.Train.LR {
+		c.tr, c.trModel, c.trLR = models.NewTrainer(c.Model, nil, c.Train.LR), c.Model, c.Train.LR
+	} else {
+		c.tr.Reset()
+	}
+	if _, err := c.tr.Fit(d.X, d.Y, c.Train, nil); err != nil {
 		return UpdateResponse{}, fmt.Errorf("fl: client %s training round %d: %w", c.Name, round, err)
 	}
 	return UpdateResponse{

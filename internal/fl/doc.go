@@ -4,10 +4,25 @@
 // compromised/poisoning clients of the threat model that probe their local
 // copy for adversarial examples (the threat Pelta mitigates). Local training
 // is entered in one place: HonestClient, PoisoningClient and
-// ModelReplacementClient share HonestClient.fit (timed models.Train +
-// Snapshot, filling Samples and TrainNS); only ShieldedHonestClient trains
-// through core.EnclaveTrainer instead. Clients attach either in-process or
-// over TCP with a gob wire format (Conn, ServeClient, Dial).
+// ModelReplacementClient share HonestClient.fit (a timed Fit + Snapshot,
+// filling Samples and TrainNS) on the client's one models.Trainer, built on
+// first use and Reset to fresh optimizer state every round, so a round
+// trains exactly as models.Train would without rebuilding the trainer;
+// only ShieldedHonestClient trains through core.EnclaveTrainer instead.
+// Clients attach either in-process or over TCP (Conn, ServeClient, Dial).
+//
+// The TCP wire is one length-prefixed binary frame per message: a kind
+// byte, varint header fields, then each tensor's name, rank, dims, count
+// and little-endian float32 bits (frame.go has the grammar). Each end
+// reuses one buffer for every frame, so encoding allocates nothing once
+// warm, and a received message decodes into one []float32 and one []int
+// slab. The reader checks every length against the bytes actually
+// received before allocating and refuses truncated frames, oversized
+// length prefixes, overflowing dims, counts that differ from the dims'
+// product, trailing bytes and unknown kinds with a *FrameError; the round
+// engine counts such a reply as that client dropping out of the round.
+// WireBytes is the weights' exact size in a frame, computed without
+// encoding. Checkpoints stay gob (SaveCheckpoint).
 //
 // AsyncServer is the one round engine: a Sampler draws a client cohort per
 // round, a goroutine worker pool runs their updates concurrently over the
@@ -41,7 +56,7 @@
 // breaking the round's wall time into client training (client-measured
 // TrainNS, summed over the merged cohort), transport (round-trip wall
 // minus training), aggregation (rule + apply) and broadcast (snapshot +
-// encoding), stamped on the engine's injectable Now clock.
+// wire size), stamped on the engine's injectable Now clock.
 // RoundSpans extracts them for NDJSON export (cmd/flsim -trace) and
 // eval.SummarizeRoundSpans; RoundMetrics renders the cumulative phase
 // totals as registry metrics for the unified exposition.

@@ -1,6 +1,10 @@
 package fl
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -38,6 +42,68 @@ func FuzzLoadCheckpoint(f *testing.F) {
 					t.Fatalf("applied %s[%d] = %v, snapshot holds %v", p.Name, j, v, w.Data[i][j])
 				}
 			}
+		}
+	})
+}
+
+// FuzzReadFrame reads arbitrary bytes as one FL wire frame. It is
+// differential both ways: a frame the reader accepts re-encodes to exactly
+// the bytes it was read from, and a message the writer builds from the same
+// bytes (their float32 bits as weights, the bytes as text) decodes to the
+// same message, bit for bit. A refusal is a *FrameError, or io.EOF for no
+// bytes at all. The seed corpus (testdata/fuzz/FuzzReadFrame) holds writer
+// output of each kind and every row of hostileFrames.
+func FuzzReadFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		body, err := readFrame(bytes.NewReader(data), nil)
+		var m message
+		if err == nil {
+			m, err = parseFrame(body)
+		}
+		var fe *FrameError
+		switch {
+		case err == nil:
+			again, err := appendFrame(nil, &m)
+			if err != nil {
+				t.Fatalf("accepted frame does not re-encode: %v", err)
+			}
+			if !bytes.Equal(again, data[:4+len(body)]) {
+				t.Fatalf("accepted frame re-encodes to other bytes:\n got %x\nwant %x", again, data[:4+len(body)])
+			}
+		case len(data) == 0 && err == io.EOF:
+		case !errors.As(err, &fe):
+			t.Fatalf("refusal %v (%T) is not a *FrameError", err, err)
+		}
+
+		vals := make([]float32, len(data)/4)
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		half := len(vals) / 2
+		text := string(data)
+		w := Weights{
+			Names:  []string{text, ""},
+			Shapes: [][]int{{half}, {1, len(vals) - half}},
+			Data:   [][]float32{vals[:half], vals[half:]},
+		}
+		for _, want := range []message{
+			{kind: frameRequest, req: UpdateRequest{Round: -len(data), Weights: w}},
+			{kind: frameResponse, resp: UpdateResponse{ClientID: text, Samples: len(vals), TrainNS: int64(len(data)) << 40, Note: text, Weights: w}},
+			{kind: frameError, err: text},
+		} {
+			frame, err := appendFrame(nil, &want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := readFrame(bytes.NewReader(frame), nil)
+			if err != nil {
+				t.Fatalf("writer output unreadable: %v", err)
+			}
+			got, err := parseFrame(body)
+			if err != nil {
+				t.Fatalf("writer output refused: %v", err)
+			}
+			requireSameMessage(t, &want, &got)
 		}
 	})
 }

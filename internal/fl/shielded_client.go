@@ -1,8 +1,6 @@
 package fl
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -68,14 +66,4 @@ func (c *ShieldedHonestClient) Update(req UpdateRequest) (UpdateResponse, error)
 			c.Trainer.Exports, met.WorldSwitches, met.SimulatedOverhead),
 		TrainNS: trainNS,
 	}, nil
-}
-
-// WireBytes returns the gob-encoded size of a weight snapshot — the §VI
-// bandwidth cost of one model transfer.
-func WireBytes(w Weights) (int, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return 0, fmt.Errorf("fl: encoding weights: %w", err)
-	}
-	return buf.Len(), nil
 }

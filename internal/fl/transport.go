@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -35,13 +34,6 @@ func (l *localConn) ID() string { return l.c.ID() }
 // Close implements Conn.
 func (l *localConn) Close() error { return nil }
 
-// rpcEnvelope frames one TCP request or response.
-type rpcEnvelope struct {
-	Req  *UpdateRequest
-	Resp *UpdateResponse
-	Err  string
-}
-
 // ServeClient exposes a client on a listener. It handles connections
 // sequentially (one FL server talks to each client) until the listener is
 // closed, then returns net.ErrClosed.
@@ -58,39 +50,53 @@ func ServeClient(lis net.Listener, c Client) error {
 	}
 }
 
+// serveConn answers request frames until the connection fails or a frame
+// cannot be read whole. A whole frame that is not a valid request gets an
+// error frame back, and the connection stays up.
 func serveConn(conn net.Conn, c Client) error {
 	defer conn.Close()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	var buf []byte
 	for {
-		var env rpcEnvelope
-		if err := dec.Decode(&env); err != nil {
+		body, err := readFrame(conn, buf)
+		buf = body
+		if err != nil {
 			return err
 		}
-		if env.Req == nil {
-			if err := enc.Encode(rpcEnvelope{Err: "missing request"}); err != nil {
+		m, err := parseFrame(body)
+		var out message
+		switch {
+		case err != nil:
+			out = message{kind: frameError, err: err.Error()}
+		case m.kind != frameRequest:
+			out = message{kind: frameError, err: "missing request"}
+		default:
+			resp, err := c.Update(m.req)
+			out = message{kind: frameResponse, resp: resp}
+			if err != nil {
+				out = message{kind: frameError, err: err.Error()}
+			}
+		}
+		if buf, err = appendFrame(buf[:0], &out); err != nil {
+			if buf, err = appendFrame(buf[:0], &message{kind: frameError, err: err.Error()}); err != nil {
 				return err
 			}
-			continue
 		}
-		resp, err := c.Update(*env.Req)
-		out := rpcEnvelope{Resp: &resp}
-		if err != nil {
-			out = rpcEnvelope{Err: err.Error()}
-		}
-		if err := enc.Encode(out); err != nil {
+		if _, err := conn.Write(buf); err != nil {
 			return err
 		}
 	}
 }
 
-// tcpConn is the server-side handle to a TCP client.
+// tcpConn is the server-side handle to a TCP client. One buffer carries
+// every frame it sends and receives.
 type tcpConn struct {
 	mu   sync.Mutex
 	id   string
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	buf  []byte
+	// broken is the read failure that closed the connection: once a frame
+	// could not be read whole, the stream has lost its frame boundaries.
+	broken error
 }
 
 // Dial connects to a client served by ServeClient.
@@ -99,27 +105,45 @@ func Dial(addr, id string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fl: dialing client %s at %s: %w", id, addr, err)
 	}
-	return &tcpConn{id: id, conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return &tcpConn{id: id, conn: conn}, nil
 }
 
-// Update implements Conn.
+// Update implements Conn. A reply that is not a whole, valid response frame
+// is an error — a *FrameError for malformed bytes, a *RemoteError for the
+// client's own error frame — which the round engine counts as that client
+// dropping out of the round.
 func (t *tcpConn) Update(req UpdateRequest) (UpdateResponse, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.enc.Encode(rpcEnvelope{Req: &req}); err != nil {
+	if t.broken != nil {
+		return UpdateResponse{}, fmt.Errorf("fl: connection to %s closed after %w", t.id, t.broken)
+	}
+	var err error
+	if t.buf, err = appendFrame(t.buf[:0], &message{kind: frameRequest, req: req}); err != nil {
+		return UpdateResponse{}, fmt.Errorf("fl: encoding round %d for %s: %w", req.Round, t.id, err)
+	}
+	if _, err := t.conn.Write(t.buf); err != nil {
 		return UpdateResponse{}, fmt.Errorf("fl: sending round %d to %s: %w", req.Round, t.id, err)
 	}
-	var env rpcEnvelope
-	if err := t.dec.Decode(&env); err != nil {
+	body, err := readFrame(t.conn, t.buf)
+	t.buf = body
+	if err != nil {
+		t.broken = err
+		t.conn.Close()
 		return UpdateResponse{}, fmt.Errorf("fl: receiving update from %s: %w", t.id, err)
 	}
-	if env.Err != "" {
-		return UpdateResponse{}, fmt.Errorf("fl: client %s: %s", t.id, env.Err)
+	m, err := parseFrame(body)
+	if err != nil {
+		return UpdateResponse{}, fmt.Errorf("fl: receiving update from %s: %w", t.id, err)
 	}
-	if env.Resp == nil {
-		return UpdateResponse{}, fmt.Errorf("fl: client %s returned empty response", t.id)
+	switch m.kind {
+	case frameResponse:
+		return m.resp, nil
+	case frameError:
+		return UpdateResponse{}, &RemoteError{Client: t.id, Msg: m.err}
 	}
-	return *env.Resp, nil
+	return UpdateResponse{}, fmt.Errorf("fl: receiving update from %s: %w", t.id,
+		frameFault(faultKind, "kind %d where a response was expected", m.kind))
 }
 
 // ID implements Conn.

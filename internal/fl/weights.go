@@ -14,9 +14,18 @@ type Weights struct {
 	Data   [][]float32
 }
 
-// Snapshot copies m's parameters into a Weights value.
+// Snapshot copies m's parameters into a Weights value. Every call copies
+// into one fresh data slab and one fresh shape slab; each tensor is a
+// full-slice-expression cut of them, so an append to one never reaches its
+// neighbour, and no two snapshots share memory.
 func Snapshot(m models.Model) Weights {
 	params := m.Params()
+	nData, nDims := 0, 0
+	for _, p := range params {
+		nData += p.Data.Len()
+		nDims += p.Data.Rank()
+	}
+	data, dims := make([]float32, nData), make([]int, nDims)
 	w := Weights{
 		Names:  make([]string, len(params)),
 		Shapes: make([][]int, len(params)),
@@ -24,8 +33,10 @@ func Snapshot(m models.Model) Weights {
 	}
 	for i, p := range params {
 		w.Names[i] = p.Name
-		w.Shapes[i] = append([]int(nil), p.Data.Shape()...)
-		w.Data[i] = append([]float32(nil), p.Data.Data()...)
+		n := copy(dims, p.Data.Shape())
+		w.Shapes[i], dims = dims[:n:n], dims[n:]
+		n = copy(data, p.Data.Data())
+		w.Data[i], data = data[:n:n], data[n:]
 	}
 	return w
 }

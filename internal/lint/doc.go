@@ -42,8 +42,9 @@
 //     tee.Enclave.Load results, Enclave capability Tokens, shield-marked
 //     Pool.Get buffers and shield-named tensors — never reaches an
 //     attacker-visible sink: http.ResponseWriter writes, NDJSON/gob
-//     Encoder.Encode, obs span/metric/trace emission, fmt/log output, or
-//     Pool.Put without an intervening Scrub. Scrub/ScrubGrad sanitize;
+//     Encoder.Encode, the FL weight-frame encoder (fl's appendFrame), obs
+//     span/metric/trace emission, fmt/log output, or Pool.Put without an
+//     intervening Scrub. Scrub/ScrubGrad sanitize;
 //     deliberate declassification is an explicit //pelta:allow
 //     shieldtaint with a reason. Scoped to internal/{core,tee,serve,fl,
 //     obs}; internal/attack stays out — the attacker-side oracle studies

@@ -23,6 +23,7 @@ import (
 //   - obs span/metric/trace emission (any call into internal/obs),
 //   - fmt/log output (Print/Fprint families, log.*),
 //   - gob checkpoint serialization (gob.Encoder.Encode),
+//   - the FL wire's frame encoder (fl's appendFrame),
 //   - Pool.Put/PutInts (recycling shielded memory hands it to the next
 //     Get) reached without an intervening Scrub.
 //
@@ -596,8 +597,16 @@ func (tc *taintChecker) directSink(call *ast.CallExpr) string {
 			}
 		}
 	case *ast.Ident:
-		if f, ok := tc.pkg.Info.Uses[fn].(*types.Func); ok && pkgPathEndsWith(f.Pkg(), "obs") && f.Pkg() != tc.pkg.Types {
+		f, ok := tc.pkg.Info.Uses[fn].(*types.Func)
+		if !ok {
+			return ""
+		}
+		if pkgPathEndsWith(f.Pkg(), "obs") && f.Pkg() != tc.pkg.Types {
 			return "obs telemetry emission"
+		}
+		// fl's frame encoder: everything it appends goes on the FL wire.
+		if f.Name() == "appendFrame" {
+			return "the FL weight frame"
 		}
 	}
 	return ""

@@ -2,7 +2,8 @@
 // It models the repo's shield surface locally — the rule matches by type
 // and method name, so the fixture exercises the same matchers production
 // code hits: Enclave.Load sources, Token values, shield-named pools and
-// buffers, fmt/ResponseWriter/Encoder/Pool.Put sinks, Scrub sanitizing.
+// buffers, fmt/ResponseWriter/Encoder/appendFrame/Pool.Put sinks, Scrub
+// sanitizing.
 package shieldtaint
 
 import "fmt"
@@ -41,6 +42,21 @@ func (p *Pool) Put(t *Tensor)            { p.free = append(p.free, t) }
 type ResponseWriter struct{}
 
 func (w *ResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// appendFrame mirrors fl's weight-frame encoder: whatever it appends is
+// sent to the federation server.
+func appendFrame(dst []byte, data []float64) []byte {
+	for _, v := range data {
+		dst = append(dst, byte(v))
+	}
+	return dst
+}
+
+// FrameLeak: a shielded tensor put on the FL wire.
+func FrameLeak(e *Enclave, tok Token) []byte {
+	obj, _ := e.Load(tok, "acc")
+	return appendFrame(nil, obj.Data()) // want `shield-confidential data reaches the FL weight frame`
+}
 
 // BranchyLeak: taint flows into buf on one branch only; the may-analysis
 // joins the branches and still reports the sink.

@@ -45,6 +45,15 @@ func NewTrainer(m Model, params []*autograd.Param, lr float64) *Trainer {
 	return t
 }
 
+// Reset puts t back in the state NewTrainer leaves — zero Adam moments and
+// step, an empty graph, every gradient of the model cleared — in place, so
+// its pool, arena and vertex free list stay warm for the next Fit.
+func (t *Trainer) Reset() {
+	t.g.Release()
+	t.opt.Reset()
+	t.zeroGrads()
+}
+
 func (t *Trainer) zeroGrads() {
 	for _, p := range t.all {
 		p.ZeroGrad()
@@ -152,9 +161,16 @@ func Batch(x *tensor.Tensor, y []int, idx []int) (*tensor.Tensor, []int, error) 
 }
 
 // gather copies the samples at idx, all in range, into buffers of len(idx).
+// It copies rows of the backing data directly: a sample is one contiguous
+// row of x's data, and bx has x's row length.
 func gather(bx *tensor.Tensor, by []int, x *tensor.Tensor, y []int, idx []int) {
+	if len(idx) == 0 {
+		return
+	}
+	row := x.Len() / x.Dim(0)
+	dst, src := bx.Data(), x.Data()
 	for i, j := range idx {
-		bx.Slice(i).CopyFrom(x.Slice(j))
+		copy(dst[i*row:(i+1)*row], src[j*row:(j+1)*row])
 		by[i] = y[j]
 	}
 }

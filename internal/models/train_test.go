@@ -115,3 +115,54 @@ func TestFitErrorsAndDefaultBatch(t *testing.T) {
 		t.Fatalf("batch sizes %v, want [32 8]", sizes)
 	}
 }
+
+// Fit, Reset, Fit on one trainer moves the model to the same bits as a
+// fresh trainer for each Fit — what models.Train does — even when an
+// attack oracle left gradients in the parameters between the two.
+func TestTrainerResetMatchesFresh(t *testing.T) {
+	d := smallDataset(t, 4, 8, 40)
+	cfg := TrainConfig{Epochs: 2, BatchSize: 16, LR: 2e-3, Seed: 5}
+	reused := NewViT(SmallViT("vit-reset", 4, 8, 4), tensor.NewRNG(9))
+	fresh := NewViT(SmallViT("vit-reset", 4, 8, 4), tensor.NewRNG(9))
+
+	tr := NewTrainer(reused, nil, cfg.LR)
+	for round := 0; round < 2; round++ {
+		if round > 0 {
+			for _, p := range reused.Params() {
+				p.Grad.Fill(1)
+			}
+			tr.Reset()
+		}
+		cfg.Seed = 5 + int64(round)
+		if _, err := tr.Fit(d.X, d.Y, cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Train(fresh, d.X, d.Y, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := paramsHash(reused), paramsHash(fresh); got != want {
+			t.Fatalf("round %d: reset trainer hash %d, fresh trainer %d", round, got, want)
+		}
+	}
+}
+
+// gather copies rows without building per-sample views: Batch allocates
+// its buffers and nothing per sample.
+func TestBatchAllocs(t *testing.T) {
+	d := smallDataset(t, 4, 8, 16)
+	idx := []int{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8}
+	bx, by, err := Batch(d.X, d.Y, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range idx {
+		if !bx.Slice(i).AllClose(d.X.Slice(j), 0) || by[i] != d.Y[j] {
+			t.Fatalf("batch row %d is not sample %d", i, j)
+		}
+	}
+	one := testing.AllocsPerRun(50, func() { _, _, _ = Batch(d.X, d.Y, idx[:1]) })
+	all := testing.AllocsPerRun(50, func() { _, _, _ = Batch(d.X, d.Y, idx) })
+	if all != one {
+		t.Fatalf("Batch allocates %.0f times for %d samples and %.0f for one", all, len(idx), one)
+	}
+}

@@ -30,6 +30,16 @@ func NewAdam(params []*autograd.Param, lr float64) *Adam {
 	return a
 }
 
+// Reset returns the optimizer to the state NewAdam leaves: zero moments and
+// step count, reusing the moment buffers.
+func (a *Adam) Reset() {
+	a.t = 0
+	for i := range a.m {
+		a.m[i].Zero()
+		a.v[i].Zero()
+	}
+}
+
 // Step applies one update from the accumulated gradients; clearing them is
 // the caller's (models.Trainer clears every gradient of the model at once).
 func (a *Adam) Step() {
